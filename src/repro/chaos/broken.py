@@ -16,10 +16,9 @@ use this class; it is never registered among the paper policies.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.core.base import Verdict
 from repro.core.lexicographic import LexicographicDynamicVoting
+from repro.net.sites import SiteSet
 from repro.net.views import NetworkView
 
 __all__ = ["GreedyTieBreakVoting"]
@@ -36,8 +35,7 @@ class GreedyTieBreakVoting(LexicographicDynamicVoting):
 
     name = "BROKEN-TIE"
 
-    def evaluate_block(self, view: NetworkView,
-                       block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
         # Evaluate with the tracer detached: the flipped verdict below
         # is the decision this protocol actually takes, and the trace
         # must show that one, not the inherited denial.
@@ -47,11 +45,8 @@ class GreedyTieBreakVoting(LexicographicDynamicVoting):
         finally:
             self._tracer = tracer
         if not verdict.granted and verdict.reason.startswith("tie:"):
-            verdict = dataclasses.replace(
-                verdict,
-                granted=True,
-                reason="tie granted greedily (broken tie-break)",
-            )
+            verdict = verdict.decided(
+                True, "tie granted greedily (broken tie-break)")
         if self._tracer is not None:
             self._trace_decision(verdict)
         return verdict

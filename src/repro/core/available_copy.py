@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 from repro.core.base import Verdict, VotingProtocol
+from repro.net.sites import SiteSet, as_mask, mask_sites
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -46,7 +47,8 @@ class AvailableCopy(VotingProtocol):
         return self._current
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        block = mask_sites(as_mask(block))
         reachable = self._replicas.reachable(block)
         if not reachable:
             return Verdict.denial("no copies reachable in block", block)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.errors import ConfigurationError, ProtocolError, QuorumNotReachedError
+from repro.net.sites import SiteSet, as_mask, lowest_site, mask_sites
 from repro.net.views import NetworkView
-from repro.replica.state import ReplicaSet
+from repro.replica.state import ReplicaSet, ReplicaState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Tracer
@@ -65,9 +67,20 @@ class CommitRecord:
     members: frozenset[int]
 
 
-@dataclass(frozen=True)
+def _set_field(slot: str, doc: str) -> tuple[property, property]:
+    """The read-only ``*_mask`` accessor of *slot* and its ``frozenset`` twin."""
+    mask = attrgetter(slot)
+    return (property(mask, doc=f"{doc}, as a mask."),
+            property(lambda self: mask_sites(mask(self)), doc=f"{doc}."))
+
+
 class Verdict:
     """The outcome of evaluating the majority-partition test in one block.
+
+    An immutable value.  The site sets are held as masks (``*_mask``,
+    see :mod:`repro.net.sites`) and their ``frozenset`` form below is
+    built when read, so a test that needs only the outcome allocates no
+    set.  The constructor takes each set in either form.
 
     Attributes:
         granted: Whether an access from this block would be allowed.
@@ -81,23 +94,67 @@ class Verdict:
         partition_set: ``P_m`` — the previous quorum (denominator).
         reference: ``m`` — the current copy whose state anchored the test,
             or ``None`` when the block holds no copies.
-        reason: Short human-readable explanation of a denial.
+        reason: Short human-readable explanation of a denial (not part
+            of equality).
     """
 
-    granted: bool
-    block: frozenset[int] = frozenset()
-    reachable: frozenset[int] = frozenset()
-    current: frozenset[int] = frozenset()
-    newest: frozenset[int] = frozenset()
-    counted: frozenset[int] = frozenset()
-    partition_set: frozenset[int] = frozenset()
-    reference: Optional[int] = None
-    reason: str = field(default="", compare=False)
+    __slots__ = ("_granted", "_block", "_reachable", "_current", "_newest",
+                 "_counted", "_partition", "_reference", "_reason")
+
+    def __init__(self, granted: bool, block: SiteSet = 0,
+                 reachable: SiteSet = 0, current: SiteSet = 0,
+                 newest: SiteSet = 0, counted: SiteSet = 0,
+                 partition_set: SiteSet = 0, reference: Optional[int] = None,
+                 reason: str = ""):
+        self._granted = granted
+        self._block = as_mask(block)
+        self._reachable = as_mask(reachable)
+        self._current = as_mask(current)
+        self._newest = as_mask(newest)
+        self._counted = as_mask(counted)
+        self._partition = as_mask(partition_set)
+        self._reference = reference
+        self._reason = reason
+
+    granted = property(attrgetter("_granted"), doc="Whether access is allowed.")
+    reference = property(attrgetter("_reference"), doc="``m``, or ``None``.")
+    reason = property(attrgetter("_reason"), doc="Why access was denied.")
+    block_mask, block = _set_field("_block", "The evaluated block")
+    reachable_mask, reachable = _set_field("_reachable", "``R``")
+    current_mask, current = _set_field("_current", "``Q``")
+    newest_mask, newest = _set_field("_newest", "``S``")
+    counted_mask, counted = _set_field("_counted", "``Q`` or ``T``")
+    partition_mask, partition_set = _set_field("_partition", "``P_m``")
 
     @staticmethod
-    def denial(reason: str, block: frozenset[int] = frozenset()) -> "Verdict":
+    def denial(reason: str, block: SiteSet = 0) -> "Verdict":
         """A denial verdict carrying only an explanation."""
         return Verdict(granted=False, block=block, reason=reason)
+
+    def decided(self, granted: bool, reason: str) -> "Verdict":
+        """This verdict's sets under another outcome — for a protocol that
+        wraps :meth:`VotingProtocol.evaluate_block` and overrules it."""
+        return Verdict(granted, self._block, self._reachable, self._current,
+                       self._newest, self._counted, self._partition,
+                       self._reference, reason)
+
+    def _key(self) -> tuple:
+        return (self._granted, self._block, self._reachable, self._current,
+                self._newest, self._counted, self._partition, self._reference)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        granted, *masks, reference = self._key()
+        sets = [sorted(mask_sites(mask)) for mask in masks]
+        return (f"Verdict(granted={granted}, block/R/Q/S/counted/P_m={sets}, "
+                f"reference={reference}, reason={self._reason!r})")
 
 
 class VotingProtocol(abc.ABC):
@@ -166,13 +223,13 @@ class VotingProtocol(abc.ABC):
         self,
         verdict: Verdict,
         tie_break_winner: Optional[int] = None,
-        carried: frozenset[int] = frozenset(),
+        carried: int = 0,
     ) -> None:
         """Emit the decision records for one quorum test (tracer attached).
 
         *tie_break_winner* is the lexicographic maximum that let an
-        exact half proceed (when that rule fired); *carried* the votes a
-        topological protocol claimed for unreachable segment mates.
+        exact half proceed (when that rule fired); *carried* the mask of
+        votes a topological protocol claimed for unreachable mates.
         """
         tracer = self._tracer
         assert tracer is not None
@@ -204,13 +261,14 @@ class VotingProtocol(abc.ABC):
             tracer.record(
                 "votes.carried",
                 policy=self.name,
-                carried=carried,
-                claimants=verdict.partition_set & verdict.reachable,
+                carried=mask_sites(carried),
+                claimants=mask_sites(
+                    verdict.partition_mask & verdict.reachable_mask),
                 granted=verdict.granted,
             )
 
     def _trace_commit(self, kind: str, operation: int, version: int,
-                      members: frozenset[int]) -> None:
+                      members: int) -> None:
         """Emit a ``commit.applied`` record (tracer attached only).
 
         The committed ``(o, v, P)`` triple is the invariant monitor's
@@ -224,7 +282,7 @@ class VotingProtocol(abc.ABC):
                 commit_kind=kind,
                 operation=operation,
                 version=version,
-                members=members,
+                members=mask_sites(members),
             )
 
     # ------------------------------------------------------------------
@@ -260,10 +318,10 @@ class VotingProtocol(abc.ABC):
         return tuple(self._history)
 
     def _record(self, kind: str, operation: int, version: int,
-                members: frozenset[int]) -> None:
+                members: int) -> None:
         if self._history is not None:
             self._history.append(
-                CommitRecord(kind, operation, version, members)
+                CommitRecord(kind, operation, version, mask_sites(members))
             )
 
     @property
@@ -284,8 +342,9 @@ class VotingProtocol(abc.ABC):
     # pure evaluation
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
-        """Run the majority-partition test for an access from *block*.
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        """Run the majority-partition test for an access from *block*
+        (a set of site ids or its mask).
 
         Pure: never mutates replica state.
         """
@@ -298,8 +357,8 @@ class VotingProtocol(abc.ABC):
         if profiler is not None:
             profiler.count(f"quorum.evaluate.{self.name}")
         denial: Optional[Verdict] = None
-        copies = self._replicas.copy_sites
-        for block in view.blocks:
+        copies = self._replicas.copy_mask
+        for block in view.block_masks:
             if not (block & copies):
                 continue
             if profiler is not None:
@@ -322,10 +381,10 @@ class VotingProtocol(abc.ABC):
         The mutual-exclusion invariant says this tuple never holds more
         than one element; the property-based tests assert exactly that.
         """
-        copies = self._replicas.copy_sites
+        copies = self._replicas.copy_mask
         return tuple(
-            block
-            for block in view.blocks
+            mask_sites(block)
+            for block in view.block_masks
             if block & copies and self.evaluate_block(view, block).granted
         )
 
@@ -371,11 +430,12 @@ class VotingProtocol(abc.ABC):
         if site_id not in self._replicas:
             raise ConfigurationError(f"site {site_id} holds no copy")
 
-    def _block_for_request(self, view: NetworkView, site_id: int) -> frozenset[int]:
-        """The requesting site's block; a down requester can do nothing."""
+    def _block_for_request(self, view: NetworkView, site_id: int) -> int:
+        """The requesting site's block, as a mask; a down requester can
+        do nothing."""
         if not view.is_up(site_id):
             raise QuorumNotReachedError(f"requesting site {site_id} is down")
-        return view.block_of(site_id)
+        return view.block_mask_of(site_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         copies = ",".join(map(str, sorted(self._replicas.copy_sites)))
@@ -414,23 +474,26 @@ class DynamicVotingFamily(VotingProtocol):
     # ------------------------------------------------------------------
     # Algorithm 1 (+ the T extension of Section 3)
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        block = as_mask(block)
         replicas = self._replicas
-        reachable = replicas.reachable(block)  # R
+        reachable = block & replicas.copy_mask  # R
         if not reachable:
             verdict = Verdict.denial("no copies reachable in block", block)
             if self._tracer is not None:
                 self._trace_decision(verdict)
             return verdict
 
-        current = replicas.current_sites(reachable)  # Q
-        newest = replicas.newest_sites(reachable)  # S
-        reference = min(current)  # m: all of Q share one state triple
-        anchor_state = replicas.state(reference)
-        partition_set = anchor_state.partition_set  # P_m
-        self._check_generation(current)
+        # Q, S and the state of m = min(Q): all of Q share one triple.
+        current, newest, anchor = replicas.quorum_scan(reachable)
+        partition_set = anchor.partition_mask  # P_m
+        self._check_generation(current, anchor)
 
-        if self.lineage_guard:
+        counted = 0
+        granted = False
+        tie_break_winner: Optional[int] = None
+        if self.lineage_guard and anchor.operation < replicas.quorum_scan(
+                replicas.copy_mask)[2].operation:
             # Topological vote-claiming is unsafe across *sequential*
             # total failures of a segment: each of two segment mates can,
             # in turn, claim the other's vote over the same generation and
@@ -440,90 +503,51 @@ class DynamicVotingFamily(VotingProtocol):
             # rule a segment falls back to — so the topological protocols
             # refuse any grant whose anchor is not at the globally newest
             # committed generation.
-            global_top = replicas.max_operation(replicas.copy_sites)
-            if anchor_state.operation < global_top:
-                verdict = Verdict(
-                    granted=False,
-                    block=block,
-                    reachable=reachable,
-                    current=current,
-                    newest=newest,
-                    counted=frozenset(),
-                    partition_set=partition_set,
-                    reference=reference,
-                    reason=(
-                        "stale generation: a newer commit exists at an "
-                        "unreachable copy (lineage guard)"
-                    ),
-                )
-                if self._tracer is not None:
-                    self._trace_decision(verdict)
-                return verdict
-
-        counted = self._counted(view, reachable, partition_set, current)
-        doubled = 2 * self._measure(counted)
-        size = self._measure(partition_set)
-        tie_break_winner: Optional[int] = None
-        if doubled > size:
-            granted = True
-            reason = ""
-        elif self.tie_break and doubled == size and view.max_site(partition_set) in current:
-            granted = True
-            reason = ""
-            tie_break_winner = view.max_site(partition_set)
-        elif doubled == size:
-            if self.tie_break:
-                reason = (
-                    "tie: exactly half of the previous partition set, "
-                    "without its maximum element"
-                )
-            else:
-                reason = (
-                    "tie: exactly half of the previous partition set "
-                    "(no tie-breaking rule)"
-                )
-            granted = False
+            reason = ("stale generation: a newer commit exists at an "
+                      "unreachable copy (lineage guard)")
         else:
-            reason = "fewer than half of the previous partition set reachable"
-            granted = False
+            counted = self._counted(view, reachable, partition_set, current)
+            doubled = 2 * self._measure(counted)
+            size = self._measure(partition_set)
+            if doubled > size:
+                granted, reason = True, ""
+            elif doubled < size:
+                reason = ("fewer than half of the previous partition set "
+                          "reachable")
+            elif not self.tie_break:
+                reason = ("tie: exactly half of the previous partition set "
+                          "(no tie-breaking rule)")
+            elif view.max_bit(partition_set) & current:
+                granted, reason = True, ""
+                tie_break_winner = lowest_site(view.max_bit(partition_set))
+            else:
+                reason = ("tie: exactly half of the previous partition set, "
+                          "without its maximum element")
 
-        verdict = Verdict(
-            granted=granted,
-            block=block,
-            reachable=reachable,
-            current=current,
-            newest=newest,
-            counted=counted,
-            partition_set=partition_set,
-            reference=reference,
-            reason=reason,
-        )
+        verdict = Verdict(granted, block, reachable, current, newest, counted,
+                          partition_set, anchor.site_id, reason)
         if self._tracer is not None:
             self._trace_decision(
                 verdict,
                 tie_break_winner=tie_break_winner,
-                carried=counted - reachable,
+                carried=counted & ~reachable,
             )
         return verdict
 
-    def _measure(self, sites: frozenset[int]) -> int:
-        """How much voting power *sites* carry.
+    def _measure(self, sites: int) -> int:
+        """How much voting power the sites of the mask *sites* carry.
 
         The paper's protocols count copies (one site, one vote); the
         weighted extension overrides this with a weight sum.  Must be a
         non-negative integer-valued measure so the half-of-``P_m``
         comparisons stay exact.
         """
-        return len(sites)
+        return sites.bit_count()
 
-    def _counted(
-        self,
-        view: NetworkView,
-        reachable: frozenset[int],
-        partition_set: frozenset[int],
-        current: frozenset[int],
-    ) -> frozenset[int]:
-        """The vote set compared against ``|P_m| / 2``.
+    def _counted(self, view: NetworkView, reachable: int, partition_set: int,
+                 current: int) -> int:
+        """The vote set (a mask, like the arguments) compared against
+        ``|P_m| / 2``.
 
         Plain protocols count ``Q``.  Topological protocols count
         ``T = {r in P_m : exists s in P_m ∩ R on r's segment}`` — a live
@@ -532,26 +556,25 @@ class DynamicVotingFamily(VotingProtocol):
         """
         if not self.topological:
             return current
-        active = partition_set & reachable  # the claimants: P_m ∩ R
-        counted = frozenset(
-            r
-            for r in partition_set
-            if any(view.same_segment(r, s) for s in active)
-        )
-        return counted
+        # P_m ∩ R are the claimants.
+        return partition_set & view.segment_mates(partition_set & reachable)
 
-    def _check_generation(self, current: frozenset[int]) -> None:
-        """All of ``Q`` must carry the same state triple.
+    def _check_generation(self, current: int, anchor: ReplicaState) -> None:
+        """All of ``Q`` must carry the anchor's state triple.
 
         Commits are totally ordered by mutual exclusion, so equal
         operation numbers imply the same originating commit.  A mismatch
         means the invariant was already broken; fail loudly.
         """
-        states = {self._replicas.state(s).snapshot() for s in current}
-        if len(states) != 1:
-            raise ProtocolError(
-                f"divergent state among current sites {sorted(current)}: {states}"
-            )
+        version, partition_set = anchor.version, anchor.partition_mask
+        states = self._replicas.states_in(current)
+        for state in states:
+            if (state.version != version
+                    or state.partition_mask != partition_set):
+                raise ProtocolError(
+                    "divergent state among current sites "
+                    f"{sorted(mask_sites(current))}: "
+                    f"{ {s.snapshot() for s in states} }")
 
     # ------------------------------------------------------------------
     # Figures 1/2 (5/6): READ and WRITE
@@ -566,23 +589,22 @@ class DynamicVotingFamily(VotingProtocol):
         block = self._block_for_request(view, site_id)
         verdict = self.evaluate_block(view, block)
         if verdict.granted:
-            self._commit_operation(verdict, write=(kind is OperationKind.WRITE))
+            self._commit(verdict, kind.value, verdict.newest_mask,
+                         bump=int(kind is OperationKind.WRITE))
         return verdict
 
-    def _commit_operation(self, verdict: Verdict, write: bool,
-                          kind: Optional[str] = None) -> None:
-        """COMMIT(S, o_m + 1, v_m [+1], S)."""
-        self._note_claims(verdict)
+    def _commit(self, verdict: Verdict, kind: str, members: int,
+                bump: int = 0) -> None:
+        """COMMIT(members, o_m + 1, v_m + bump, members)."""
+        if self.topological and verdict.counted_mask & ~verdict.reachable_mask:
+            self.claimed_vote_grants += 1
         assert verdict.reference is not None
         anchor = self._replicas.state(verdict.reference)
-        new_operation = anchor.operation + 1
-        new_version = anchor.version + (1 if write else 0)
-        new_set = verdict.newest
-        for sid in new_set:
-            self._replicas.state(sid).commit(new_operation, new_version, new_set)
-        kind = kind or ("write" if write else "read")
-        self._record(kind, new_operation, new_version, new_set)
-        self._trace_commit(kind, new_operation, new_version, new_set)
+        operation = anchor.operation + 1
+        version = anchor.version + bump
+        self._replicas.commit(operation, version, members)
+        self._record(kind, operation, version, members)
+        self._trace_commit(kind, operation, version, members)
 
     # ------------------------------------------------------------------
     # Figure 3 (7): RECOVER
@@ -595,24 +617,15 @@ class DynamicVotingFamily(VotingProtocol):
         ``v_m`` models "copy the file from site m".
         """
         self._require_copy(site_id)
-        block = self._block_for_request(view, site_id)
-        verdict = self.evaluate_block(view, block)
-        if not verdict.granted:
-            return verdict
-        self._note_claims(verdict)
-        assert verdict.reference is not None
-        anchor = self._replicas.state(verdict.reference)
-        new_set = verdict.newest | {site_id}
-        new_operation = anchor.operation + 1
-        for sid in new_set:
-            self._replicas.state(sid).commit(new_operation, anchor.version, new_set)
-        self._record("recover", new_operation, anchor.version, new_set)
-        self._trace_commit("recover", new_operation, anchor.version, new_set)
-        return verdict
+        return self._recover(view, self._block_for_request(view, site_id),
+                             site_id)
 
-    def _note_claims(self, verdict: Verdict) -> None:
-        if self.topological and (verdict.counted - verdict.reachable):
-            self.claimed_vote_grants += 1
+    def _recover(self, view: NetworkView, block: int, site_id: int) -> Verdict:
+        verdict = self.evaluate_block(view, block)
+        if verdict.granted:
+            self._commit(verdict, "recover",
+                         verdict.newest_mask | 1 << site_id)
+        return verdict
 
     # ------------------------------------------------------------------
     def synchronize(self, view: NetworkView) -> None:
@@ -622,18 +635,13 @@ class DynamicVotingFamily(VotingProtocol):
         then a null operation shrinks the partition set to the reachable
         current copies.  Converges in at most ``|copies| + 1`` rounds.
         """
-        copies = self._replicas.copy_sites
-        for _ in range(len(copies) + 2):
-            verdict = self.evaluate(view)
-            if not verdict.granted:
-                return
-            stale = sorted((copies & verdict.block) - verdict.current)
-            if stale:
-                self.recover(view, stale[0])
+        for _ in range(len(self._replicas) + 2):
+            verdict = self._recover_one(view)
+            if verdict is None:
                 continue
-            if verdict.partition_set != verdict.newest:
+            if verdict.granted and verdict.partition_mask != verdict.newest_mask:
                 # Null operation: quorum adjustment without data movement.
-                self._commit_operation(verdict, write=False, kind="adjust")
+                self._commit(verdict, "adjust", verdict.newest_mask)
             return
         raise ProtocolError("synchronize failed to converge")  # pragma: no cover
 
@@ -647,12 +655,19 @@ class DynamicVotingFamily(VotingProtocol):
         never does is run the gratuitous null-operation adjustment that
         eager protocols perform on every network event.
         """
-        copies = self._replicas.copy_sites
-        for _ in range(len(copies) + 1):
-            verdict = self.evaluate(view)
-            if not verdict.granted:
+        for _ in range(len(self._replicas) + 1):
+            if self._recover_one(view) is not None:
                 return
-            stale = sorted((copies & verdict.block) - verdict.current)
-            if not stale:
-                return
-            self.recover(view, stale[0])
+
+    def _recover_one(self, view: NetworkView) -> Optional[Verdict]:
+        """Evaluate; if the granting block holds a stale copy, run the
+        lowest-numbered one's RECOVER and return ``None`` (more may be
+        pending), otherwise return the verdict."""
+        verdict = self.evaluate(view)
+        if verdict.granted:
+            stale = (self._replicas.copy_mask & verdict.block_mask
+                     & ~verdict.current_mask)
+            if stale:
+                self._recover(view, verdict.block_mask, lowest_site(stale))
+                return None
+        return verdict

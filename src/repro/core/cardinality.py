@@ -29,6 +29,7 @@ from typing import ClassVar, Iterable
 
 from repro.core.base import OperationKind, Verdict, VotingProtocol
 from repro.errors import ConfigurationError, ProtocolError
+from repro.net.sites import SiteSet, as_mask, mask_sites
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -87,7 +88,8 @@ class CardinalityDynamicVoting(VotingProtocol):
         return (state.version, state.cardinality)
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        block = mask_sites(as_mask(block))
         reachable = frozenset(self._cards) & block
         if not reachable:
             return Verdict.denial("no copies reachable in block", block)

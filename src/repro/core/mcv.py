@@ -16,6 +16,7 @@ from typing import ClassVar
 
 from repro.core.base import OperationKind, Verdict, VotingProtocol
 from repro.errors import ConfigurationError
+from repro.net.sites import SiteSet, as_mask, lowest_site
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -61,26 +62,27 @@ class MajorityConsensusVoting(VotingProtocol):
         return self._tie_break
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        block = as_mask(block)
         replicas = self._replicas
-        reachable = replicas.reachable(block)
+        copies = replicas.copy_mask
+        reachable = block & copies
         if not reachable:
             verdict = Verdict.denial("no copies reachable in block", block)
             if self._tracer is not None:
                 self._trace_decision(verdict)
             return verdict
-        copies = replicas.copy_sites
-        granted = 2 * len(reachable) > len(copies)
+        doubled = 2 * reachable.bit_count()
+        granted = doubled > len(replicas)
         tie_break_winner = None
         if (
-            not granted
-            and self._tie_break
-            and 2 * len(reachable) == len(copies)
-            and view.max_site(copies) in reachable
+            self._tie_break
+            and doubled == len(replicas)
+            and view.max_bit(copies) & reachable
         ):
             granted = True
-            tie_break_winner = view.max_site(copies)
-        newest = replicas.newest_sites(reachable)
+            tie_break_winner = lowest_site(view.max_bit(copies))
+        newest = replicas.quorum_scan(reachable)[1]
         verdict = Verdict(
             granted=granted,
             block=block,
@@ -88,11 +90,11 @@ class MajorityConsensusVoting(VotingProtocol):
             current=reachable,  # every copy votes, stale or not
             newest=newest,
             counted=reachable,
-            partition_set=replicas.copy_sites,  # the static denominator
-            reference=min(newest),
+            partition_set=copies,  # the static denominator
+            reference=lowest_site(newest),
             reason="" if granted else (
-                f"{len(reachable)} of {len(replicas)} copies reachable, "
-                f"quorum is {self._quorum}"
+                f"{reachable.bit_count()} of {len(replicas)} copies "
+                f"reachable, quorum is {self._quorum}"
             ),
         )
         if self._tracer is not None:
@@ -113,10 +115,9 @@ class MajorityConsensusVoting(VotingProtocol):
             return verdict
         assert verdict.reference is not None
         new_version = self._replicas.state(verdict.reference).version + 1
-        for sid in verdict.reachable:
-            state = self._replicas.state(sid)
+        for state in self._replicas.states_in(verdict.reachable_mask):
             # Keep o == v: MCV has no separate operation counter.
-            state.commit(new_version, new_version, state.partition_set)
+            state.commit(new_version, new_version, state.partition_mask)
         return verdict
 
     def recover(self, view: NetworkView, site_id: int) -> Verdict:
@@ -129,7 +130,7 @@ class MajorityConsensusVoting(VotingProtocol):
         newest_version = self._replicas.max_version(verdict.reachable)
         state = self._replicas.state(site_id)
         if state.version < newest_version:
-            state.commit(newest_version, newest_version, state.partition_set)
+            state.commit(newest_version, newest_version, state.partition_mask)
         return verdict
 
     def synchronize(self, view: NetworkView) -> None:

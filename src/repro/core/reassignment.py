@@ -33,6 +33,7 @@ from typing import ClassVar, Mapping
 
 from repro.core.base import Verdict, VotingProtocol
 from repro.errors import ConfigurationError, ProtocolError, QuorumNotReachedError
+from repro.net.sites import SiteSet, as_mask, mask_sites
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -110,7 +111,8 @@ class VoteReassignmentVoting(VotingProtocol):
         return (state.assignment, dict(state.weights))
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        block = mask_sites(as_mask(block))
         reachable = frozenset(self._states) & block
         if not reachable:
             return Verdict.denial("no copies reachable in block", block)

@@ -17,6 +17,7 @@ from typing import ClassVar, Mapping, Optional
 
 from repro.core.base import Verdict, VotingProtocol
 from repro.errors import ConfigurationError
+from repro.net.sites import SiteSet, as_mask, mask_sites
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -101,8 +102,9 @@ class WeightedMajorityVoting(VotingProtocol):
         return best
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
         """Full availability: the block can both read and write."""
+        block = mask_sites(as_mask(block))
         reachable = self._replicas.reachable(block)
         if not reachable:
             return Verdict.denial("no copies reachable in block", block)
@@ -127,7 +129,7 @@ class WeightedMajorityVoting(VotingProtocol):
     # ------------------------------------------------------------------
     def read(self, view: NetworkView, site_id: int) -> Verdict:
         block = self._block_for_request(view, site_id)
-        reachable = self._replicas.reachable(block)
+        reachable = mask_sites(block & self._replicas.copy_mask)
         verdict = self.evaluate_block(view, block)
         if not reachable:
             return verdict
@@ -147,7 +149,7 @@ class WeightedMajorityVoting(VotingProtocol):
 
     def write(self, view: NetworkView, site_id: int) -> Verdict:
         block = self._block_for_request(view, site_id)
-        reachable = self._replicas.reachable(block)
+        reachable = mask_sites(block & self._replicas.copy_mask)
         if not reachable or self.weight_of(reachable) < self._write_quorum:
             return self.evaluate_block(view, block)
         newest = self._replicas.newest_sites(reachable)

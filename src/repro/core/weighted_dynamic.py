@@ -65,14 +65,17 @@ class WeightedDynamicVoting(DynamicVotingFamily):
         if sum(weights.values()) <= 0:
             raise ConfigurationError("total weight must be positive")
         self._weights = dict(weights)
+        self._bit_weights = tuple(
+            (1 << sid, weight) for sid, weight in weights.items())
 
     @property
     def weights(self) -> dict[int, int]:
         """The static per-copy vote weights."""
         return dict(self._weights)
 
-    def _measure(self, sites: frozenset[int]) -> int:
-        return sum(self._weights.get(s, 0) for s in sites)
+    def _measure(self, sites: int) -> int:
+        return sum(
+            weight for bit, weight in self._bit_weights if bit & sites)
 
 
 class OptimisticWeightedDynamicVoting(WeightedDynamicVoting):

@@ -23,6 +23,7 @@ from typing import AbstractSet, ClassVar
 
 from repro.core.base import DynamicVotingFamily, Verdict
 from repro.errors import ConfigurationError
+from repro.net.sites import SiteSet, site_mask
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 
@@ -68,35 +69,21 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
         return self.full_sites
 
     # ------------------------------------------------------------------
-    def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
+    def evaluate_block(self, view: NetworkView, block: SiteSet) -> Verdict:
+        """The base test, plus: a newest *full* copy must be reachable —
+        all that a recovering full copy needs beyond the base RECOVER (a
+        witness recovers from anyone), so :meth:`recover` is inherited."""
         verdict = super().evaluate_block(view, block)
         if not verdict.granted:
             return verdict
-        if verdict.newest & self.full_sites:
+        if verdict.newest_mask & ~site_mask(self._witnesses):
             return verdict
         # A witness-only quorum: majority proven, but no current data to
         # serve or propagate.  Deny without touching state.
-        return Verdict(
-            granted=False,
-            block=verdict.block,
-            reachable=verdict.reachable,
-            current=verdict.current,
-            newest=verdict.newest,
-            counted=verdict.counted,
-            partition_set=verdict.partition_set,
-            reference=verdict.reference,
-            reason="quorum holds only witnesses; no full copy with current data",
+        return verdict.decided(
+            False,
+            "quorum holds only witnesses; no full copy with current data",
         )
-
-    def recover(self, view: NetworkView, site_id: int) -> Verdict:
-        """A witness recovers from anyone; a full copy needs a full source.
-
-        The data-source requirement is already enforced by
-        :meth:`evaluate_block` (the quorum must contain a newest full
-        copy), so the base RECOVER applies to both kinds of site.
-        """
-        return super().recover(view, site_id)
-
 
     # ------------------------------------------------------------------
     # witness promotion / demotion (Pari86's conversion operations)
@@ -122,15 +109,7 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
         # Data is cloned from a newest full copy (the grant guarantees
         # one is reachable); then the site participates as a full copy.
         self._witnesses = self._witnesses - {site_id}
-        assert verdict.reference is not None
-        anchor = self._replicas.state(verdict.reference)
-        new_set = verdict.newest | {site_id}
-        new_operation = anchor.operation + 1
-        for sid in new_set:
-            self._replicas.state(sid).commit(
-                new_operation, anchor.version, new_set
-            )
-        self._record("promote", new_operation, anchor.version, new_set)
+        self._convert(verdict, "promote", site_id)
         return verdict
 
     def demote(self, view: NetworkView, site_id: int) -> Verdict:
@@ -162,16 +141,17 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
                 "orphan the current data"
             )
         self._witnesses = self._witnesses | {site_id}
+        self._convert(verdict, "demote", site_id)
+        return verdict
+
+    def _convert(self, verdict: Verdict, kind: str, site_id: int) -> None:
+        """COMMIT(S ∪ {l}, o_m + 1, v_m, S ∪ {l}), as in RECOVER."""
         assert verdict.reference is not None
         anchor = self._replicas.state(verdict.reference)
-        new_set = verdict.newest | {site_id}
-        new_operation = anchor.operation + 1
-        for sid in new_set:
-            self._replicas.state(sid).commit(
-                new_operation, anchor.version, new_set
-            )
-        self._record("demote", new_operation, anchor.version, new_set)
-        return verdict
+        members = verdict.newest_mask | 1 << site_id
+        operation = anchor.operation + 1
+        self._replicas.commit(operation, anchor.version, members)
+        self._record(kind, operation, anchor.version, members)
 
 
 class TopologicalDynamicVotingWithWitnesses(DynamicVotingWithWitnesses):

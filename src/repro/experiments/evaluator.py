@@ -29,6 +29,7 @@ from repro.core.base import VotingProtocol
 from repro.core.registry import make_protocol
 from repro.errors import ConfigurationError
 from repro.failures.trace import FailureTrace
+from repro.net.sites import site_mask
 from repro.net.topology import Topology
 from repro.replica.state import ReplicaSet
 from repro.stats.batch_means import BatchMeans, ConfidenceInterval
@@ -251,7 +252,7 @@ def evaluate_policy(
             "(e.g. poisson_times(1.0, trace.horizon, seed))"
         )
 
-    up = set(trace.site_ids)
+    up = site_mask(trace.site_ids)
     view = topology.view(up)
     if tracer is not None:
         tracer.set_time(0.0)
@@ -286,9 +287,9 @@ def evaluate_policy(
                 event = trace_events[i]
                 i += 1
                 if event.up:
-                    up.add(event.site_id)
+                    up |= 1 << event.site_id
                 else:
-                    up.discard(event.site_id)
+                    up &= ~(1 << event.site_id)
                 view = topology.view(up)
                 now = event.time
                 if tracer is not None:
@@ -340,11 +341,12 @@ def _batch_interval(
     """Per-batch unavailability means over equal spans of observed time."""
     span = (horizon - warmup) / batches
     means = BatchMeans()
+    periods = tracker.periods  # a fresh tuple per read
     for k in range(batches):
         lo = warmup + k * span
         hi = lo + span
         down = 0.0
-        for period in tracker.periods:
+        for period in periods:
             clip = period.clipped(lo, hi)
             if clip is not None:
                 down += clip.duration

@@ -14,16 +14,20 @@ Two topology families are provided:
 
 Both expose the same oracle: :meth:`Topology.blocks` maps the set of *up*
 sites to the partition blocks — maximal groups of mutually communicating
-up sites.
+up sites.  The oracle itself works on site masks (see
+:mod:`repro.net.sites`): each family implements :meth:`Topology.block_masks`
+and the ``frozenset`` forms are built from its answer.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, TopologyError, UnknownSiteError
-from repro.net.sites import Site, lexicographic_max
+from repro.net.sites import (Site, SiteSet, as_mask, lowest_site, mask_sites,
+                             site_mask)
 from repro.net.views import NetworkView
 
 __all__ = [
@@ -44,7 +48,15 @@ class Topology(abc.ABC):
         if len(set(ids)) != len(ids):
             raise TopologyError(f"duplicate site ids in {ids}")
         self._sites = {s.id: s for s in sites}
-        self._ranks = {s.id: s.rank for s in sites}
+        self._site_ids = frozenset(self._sites)
+        self._site_mask = site_mask(self._sites)
+        # Bits from the lexicographic maximum down (equal ranks: the
+        # smaller id first, as in lexicographic_max) for the tie-break.
+        self._rank_bits = tuple(
+            1 << s.id for s in sorted(sites, key=lambda s: (-s.rank, s.id)))
+        # bit -> mask of the sites on that site's segment; families with
+        # real segments overwrite their entries.
+        self._mates = {1 << sid: 1 << sid for sid in self._sites}
 
     # ------------------------------------------------------------------
     @property
@@ -54,7 +66,7 @@ class Topology(abc.ABC):
 
     @property
     def site_ids(self) -> frozenset[int]:
-        return frozenset(self._sites)
+        return self._site_ids
 
     def site(self, site_id: int) -> Site:
         """Look up a site by id.
@@ -69,15 +81,30 @@ class Topology(abc.ABC):
 
     def max_site(self, site_ids: Iterable[int]) -> int:
         """Maximum element of *site_ids* under the lexicographic order."""
-        return lexicographic_max(site_ids, self._ranks)
+        mask = self._known_mask(site_mask(site_ids))
+        return lowest_site(self.max_bit(mask))
 
-    def _check_known(self, site_ids: AbstractSet[int]) -> None:
-        unknown = site_ids - self._sites.keys()
+    def max_bit(self, mask: int) -> int:
+        """The bit of the lexicographic maximum of the sites in *mask*."""
+        for bit in self._rank_bits:
+            if bit & mask:
+                return bit
+        raise ConfigurationError("lexicographic_max of an empty site set")
+
+    def _known_mask(self, mask: int) -> int:
+        """*mask*, after checking that every site in it exists."""
+        unknown = mask & ~self._site_mask
         if unknown:
-            raise UnknownSiteError(f"unknown sites: {sorted(unknown)}")
+            raise UnknownSiteError(
+                f"unknown sites: {sorted(mask_sites(unknown))}")
+        return mask
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
+    def block_masks(self, up: int) -> tuple[int, ...]:
+        """The partition oracle on masks: :meth:`blocks` for an *up* that
+        holds known sites only (:meth:`blocks` and :meth:`view` check)."""
+
     def blocks(self, up: AbstractSet[int]) -> tuple[frozenset[int], ...]:
         """Partition the *up* sites into communicating blocks.
 
@@ -85,6 +112,8 @@ class Topology(abc.ABC):
         appear in none.  Blocks are returned sorted by their smallest
         member for determinism.
         """
+        up = self._known_mask(site_mask(up))
+        return tuple(map(mask_sites, self.block_masks(up)))
 
     @abc.abstractmethod
     def segment_of(self, site_id: int) -> str:
@@ -98,11 +127,20 @@ class Topology(abc.ABC):
         """Whether two sites can never be separated by a partition."""
         return self.segment_of(a) == self.segment_of(b)
 
-    def view(self, up: AbstractSet[int]) -> NetworkView:
-        """Snapshot the network with exactly the sites in *up* operational."""
-        up = frozenset(up)
-        self._check_known(up)
-        return NetworkView(self, up, self.blocks(up))
+    def segment_mates(self, mask: int) -> int:
+        """Mask of every site sharing a segment with a site of *mask*."""
+        mates = 0
+        while mask:
+            low = mask & -mask
+            mates |= self._mates[low]
+            mask ^= low
+        return mates
+
+    def view(self, up: SiteSet) -> NetworkView:
+        """Snapshot the network with exactly the sites in *up* (a set of
+        ids or its mask) operational."""
+        up = self._known_mask(as_mask(up))
+        return NetworkView(self, up, self.block_masks(up))
 
 
 class SegmentedTopology(Topology):
@@ -141,7 +179,7 @@ class SegmentedTopology(Topology):
         self._members: dict[str, frozenset[int]] = {}
         for name in self._segment_names:
             members = frozenset(segments[name])
-            self._check_known(members)
+            self._known_mask(site_mask(members))
             for sid in members:
                 if sid in self._home:
                     raise TopologyError(
@@ -174,6 +212,24 @@ class SegmentedTopology(Topology):
                 )
             self._gateways[sid] = joined
 
+        # The oracle's tables: one mask per segment, and per gateway its
+        # bit with the union of the segments it joins.  A segment without
+        # sites gets a tag bit above every site id, so that it still links
+        # the gateways on it; ``& up`` drops the tags from every answer.
+        masks = {name: site_mask(self._members[name])
+                 for name in self._segment_names}
+        for sid, name in self._home.items():
+            self._mates[1 << sid] = masks[name]
+        tag = 1 << self._site_mask.bit_length()
+        for name in self._segment_names:
+            if not masks[name]:
+                masks[name], tag = tag, tag << 1
+        self._segment_masks = tuple(masks.values())
+        self._gateway_masks = tuple(
+            (1 << sid, functools.reduce(int.__or__, map(masks.get, joined)))
+            for sid, joined in self._gateways.items()
+        )
+
     # ------------------------------------------------------------------
     @property
     def segment_names(self) -> tuple[str, ...]:
@@ -195,34 +251,25 @@ class SegmentedTopology(Topology):
         self.site(site_id)  # raise UnknownSiteError for bad ids
         return self._home[site_id]
 
-    def blocks(self, up: AbstractSet[int]) -> tuple[frozenset[int], ...]:
-        self._check_known(frozenset(up))
-        # Union-find over segments: an up gateway merges all its segments.
-        parent = {name: name for name in self._segment_names}
-
-        def find(name: str) -> str:
-            root = name
-            while parent[root] != root:
-                root = parent[root]
-            while parent[name] != root:  # path compression
-                parent[name], name = root, parent[name]
-            return root
-
-        for gateway, joined in self._gateways.items():
-            if gateway in up:
-                anchor = find(joined[0])
-                for other in joined[1:]:
-                    parent[find(other)] = anchor
-
-        groups: dict[str, set[int]] = {}
-        for name in self._segment_names:
-            root = find(name)
-            members = self._members[name] & up
-            if members:
-                groups.setdefault(root, set()).update(members)
-        return tuple(
-            sorted((frozenset(g) for g in groups.values()), key=min)
-        )
+    def block_masks(self, up: int) -> tuple[int, ...]:
+        # Segments never split; an up gateway fuses every group that
+        # holds one of the segments it joins.
+        groups = self._segment_masks
+        for gateway, joined in self._gateway_masks:
+            if gateway & up:
+                fused = joined
+                apart = []
+                for group in groups:
+                    if group & joined:
+                        fused |= group
+                    else:
+                        apart.append(group)
+                apart.append(fused)
+                groups = apart
+        blocks = [group & up for group in groups if group & up]
+        if len(blocks) > 1:
+            blocks.sort(key=lowest_site)
+        return tuple(blocks)
 
 
 class PointToPointTopology(Topology):
@@ -247,7 +294,7 @@ class PointToPointTopology(Topology):
         for a, b in links:
             if a == b:
                 raise TopologyError(f"self-link at site {a}")
-            self._check_known(frozenset((a, b)))
+            self._known_mask(site_mask((a, b)))
             self._links.add(frozenset((a, b)))
         self._failed: set[frozenset[int]] = set()
 
@@ -278,32 +325,24 @@ class PointToPointTopology(Topology):
         self.site(site_id)
         return f"pt-{site_id}"
 
-    def blocks(self, up: AbstractSet[int]) -> tuple[frozenset[int], ...]:
-        up = frozenset(up)
-        self._check_known(up)
-        # Breadth-first search over live links between up sites.
-        adjacency: dict[int, list[int]] = {s: [] for s in up}
-        for edge in self._links - self._failed:
-            a, b = tuple(edge)
-            if a in up and b in up:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-        seen: set[int] = set()
-        blocks: list[frozenset[int]] = []
-        for start in sorted(up):
-            if start in seen:
-                continue
-            component = {start}
-            frontier = [start]
+    def block_masks(self, up: int) -> tuple[int, ...]:
+        # Flood fill over live links between up sites, lowest site first.
+        neighbours: dict[int, int] = {}
+        for a, b in self._links - self._failed:
+            bit_a, bit_b = 1 << a, 1 << b
+            neighbours[bit_a] = neighbours.get(bit_a, 0) | bit_b
+            neighbours[bit_b] = neighbours.get(bit_b, 0) | bit_a
+        blocks = []
+        while up:
+            component = frontier = up & -up
             while frontier:
-                node = frontier.pop()
-                for neighbour in adjacency[node]:
-                    if neighbour not in component:
-                        component.add(neighbour)
-                        frontier.append(neighbour)
-            seen |= component
-            blocks.append(frozenset(component))
-        return tuple(sorted(blocks, key=min))
+                low = frontier & -frontier
+                found = neighbours.get(low, 0) & up & ~component
+                component |= found
+                frontier = (frontier ^ low) | found
+            blocks.append(component)
+            up &= ~component
+        return tuple(blocks)
 
 
 def single_segment(count: int, segment: str = "lan") -> SegmentedTopology:

@@ -284,6 +284,9 @@ class MetricsSink:
     def __init__(self, registry: MetricsRegistry, **labels: Any):
         self._registry = registry
         self._labels = {str(k): str(v) for k, v in labels.items()}
+        # (kind, policy) -> its counter: a registry never drops a series,
+        # so the label key is built once per series, not once per record.
+        self._counters: dict[tuple[str, Any], Counter] = {}
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -292,12 +295,13 @@ class MetricsSink:
     def emit(self, record: "TraceRecord") -> None:
         """Count *record* into its per-kind (and per-policy) series."""
         policy = record.fields.get("policy")
-        if policy is None:
-            self._registry.counter(record.kind, **self._labels).inc()
-        else:
-            self._registry.counter(
-                record.kind, policy=policy, **self._labels
-            ).inc()
+        counter = self._counters.get((record.kind, policy))
+        if counter is None:
+            labels = self._labels if policy is None else {
+                "policy": policy, **self._labels}
+            counter = self._registry.counter(record.kind, **labels)
+            self._counters[record.kind, policy] = counter
+        counter.inc()
 
     def close(self) -> None:
         """Nothing to release; tallies live in the registry."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.net.sites import SiteSet, as_mask, lowest_site, mask_sites, site_mask
 
 __all__ = ["ReplicaState", "ReplicaSet"]
 
@@ -19,9 +21,12 @@ class ReplicaState:
     * the partition set is never empty and always contains at least the
       sites that committed (the caller supplies it; emptiness is rejected
       here, membership soundness is checked by the engine tests).
+
+    ``P`` is held as a mask (:attr:`partition_mask`, what the quorum test
+    reads); :attr:`partition_set` is its ``frozenset`` form.
     """
 
-    __slots__ = ("site_id", "_operation", "_version", "_partition_set")
+    __slots__ = ("site_id", "_operation", "_version", "_partition_mask")
 
     def __init__(
         self,
@@ -43,32 +48,32 @@ class ReplicaState:
         self.site_id = site_id
         self._operation = operation
         self._version = version
-        self._partition_set = frozenset(partition_set)
+        self._partition_mask = site_mask(partition_set)
 
     # ------------------------------------------------------------------
-    @property
-    def operation(self) -> int:
-        """Operation number ``o_i`` — counts all successful operations."""
-        return self._operation
-
-    @property
-    def version(self) -> int:
-        """Version number ``v_i`` — identifies the last successful write."""
-        return self._version
+    operation = property(
+        attrgetter("_operation"),
+        doc="Operation number ``o_i`` — counts all successful operations.")
+    version = property(
+        attrgetter("_version"),
+        doc="Version number ``v_i`` — identifies the last successful write.")
+    partition_mask = property(
+        attrgetter("_partition_mask"), doc="``P_i`` as a mask.")
 
     @property
     def partition_set(self) -> frozenset[int]:
         """``P_i`` — copies that took part in the last successful operation."""
-        return self._partition_set
+        return mask_sites(self._partition_mask)
 
     # ------------------------------------------------------------------
     def commit(
         self,
         operation: int,
         version: int,
-        partition_set: AbstractSet[int],
+        partition_set: SiteSet,
     ) -> None:
-        """Apply a COMMIT: install the new ``(o, v, P)`` triple.
+        """Apply a COMMIT: install the new ``(o, v, P)`` triple (``P`` a
+        set of ids or its mask).
 
         Raises:
             ProtocolError: if the new numbers would violate monotonicity.
@@ -91,15 +96,15 @@ class ReplicaState:
             raise ProtocolError("committed partition set must be non-empty")
         self._operation = operation
         self._version = version
-        self._partition_set = frozenset(partition_set)
+        self._partition_mask = as_mask(partition_set)
 
     def adopt(self, other: "ReplicaState") -> None:
         """Copy another replica's state triple (used during RECOVER)."""
-        self.commit(other.operation, other.version, other.partition_set)
+        self.commit(other.operation, other.version, other.partition_mask)
 
     def snapshot(self) -> tuple[int, int, frozenset[int]]:
         """The ``(o, v, P)`` triple as an immutable value."""
-        return (self._operation, self._version, self._partition_set)
+        return (self._operation, self._version, self.partition_set)
 
     def to_dict(self) -> dict:
         """A JSON-serialisable ``(o, v, P)`` document.
@@ -112,7 +117,7 @@ class ReplicaState:
             "site": self.site_id,
             "operation": self._operation,
             "version": self._version,
-            "partition_set": sorted(self._partition_set),
+            "partition_set": sorted(self.partition_set),
         }
 
     @classmethod
@@ -138,7 +143,7 @@ class ReplicaState:
             ) from exc
 
     def __repr__(self) -> str:
-        members = ",".join(map(str, sorted(self._partition_set)))
+        members = ",".join(map(str, sorted(self.partition_set)))
         return (
             f"ReplicaState(site={self.site_id}, o={self._operation}, "
             f"v={self._version}, P={{{members}}})"
@@ -150,16 +155,25 @@ class ReplicaSet:
 
     Construction initialises every copy exactly as the paper's worked
     example does: ``o = v = 1`` and ``P`` equal to the full copy set.
+
+    :meth:`quorum_scan` answers ``Q``, ``S`` and the anchor in one pass
+    over masks (see :mod:`repro.net.sites`); the ``frozenset`` queries
+    are built on it.
     """
 
     def __init__(self, copy_sites: Iterable[int]):
         sites = sorted(set(copy_sites))
         if not sites:
             raise ConfigurationError("a replicated file needs >= 1 copy")
-        initial = frozenset(sites)
-        self._states = {
-            sid: ReplicaState(sid, partition_set=initial) for sid in sites
-        }
+        self._copy_sites = frozenset(sites)
+        self.copy_mask = site_mask(sites)  #: every site holding a copy
+        self._index({sid: ReplicaState(sid, partition_set=self._copy_sites)
+                     for sid in sites})
+
+    def _index(self, states: dict[int, ReplicaState]) -> None:
+        self._states = states
+        # What the scans walk: (bit, state) in site order.
+        self._by_bit = tuple((1 << sid, state) for sid, state in states.items())
 
     @classmethod
     def from_states(
@@ -178,19 +192,19 @@ class ReplicaSet:
         block) but which keeps static denominators like MCV's "all
         copies" correct.
         """
-        sites = sorted(set(states) | set(copy_sites))
-        replica_set = cls(sites)
+        replica_set = cls(set(states) | set(copy_sites))
         for sid, (operation, version, partition_set) in states.items():
             replica_set._states[sid] = ReplicaState(
-                sid, operation, version, frozenset(partition_set)
+                sid, operation, version, partition_set
             )
+        replica_set._index(replica_set._states)
         return replica_set
 
     # ------------------------------------------------------------------
     @property
     def copy_sites(self) -> frozenset[int]:
         """Ids of every site holding a physical copy."""
-        return frozenset(self._states)
+        return self._copy_sites
 
     def state(self, site_id: int) -> ReplicaState:
         """The state of the copy at *site_id*.
@@ -207,7 +221,7 @@ class ReplicaSet:
         return site_id in self._states
 
     def __iter__(self) -> Iterator[ReplicaState]:
-        return iter(self._states[s] for s in sorted(self._states))
+        return iter(self._states.values())
 
     def __len__(self) -> int:
         return len(self._states)
@@ -215,38 +229,76 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # queries used by the voting algorithms
     # ------------------------------------------------------------------
+    def quorum_scan(self, among: int) -> tuple[int, int, ReplicaState]:
+        """``(Q, S, anchor)`` for the copies in the mask *among*: the masks
+        of the copies with the highest operation number and with the
+        highest version number, and the state of ``m = min(Q)``.
+
+        Raises:
+            ProtocolError: if *among* holds no copy.
+        """
+        top_operation = top_version = current = newest = 0
+        anchor = None
+        for bit, state in self._by_bit:
+            if bit & among:
+                operation = state._operation
+                if operation > top_operation:
+                    top_operation = operation
+                    current = bit
+                    anchor = state
+                elif operation == top_operation:
+                    current |= bit
+                version = state._version
+                if version > top_version:
+                    top_version = version
+                    newest = bit
+                elif version == top_version:
+                    newest |= bit
+        if anchor is None:
+            raise ProtocolError(
+                f"no copies among sites {sorted(mask_sites(among))}")
+        return current, newest, anchor
+
+    def states_in(self, sites: int) -> list[ReplicaState]:
+        """The states of the copies in the mask *sites*, in site order."""
+        return [state for bit, state in self._by_bit if bit & sites]
+
+    def commit(self, operation: int, version: int, members: int) -> None:
+        """COMMIT ``(operation, version, members)`` at every copy in the
+        mask *members* (see :meth:`ReplicaState.commit`).
+
+        Raises:
+            ConfigurationError: if a member holds no copy.
+        """
+        strangers = members & ~self.copy_mask
+        if strangers:
+            raise ConfigurationError(
+                f"no copy at site {min(mask_sites(strangers))}")
+        for bit, state in self._by_bit:
+            if bit & members:
+                state.commit(operation, version, members)
+
     def reachable(self, block: AbstractSet[int]) -> frozenset[int]:
         """``R`` — copy sites inside the communicating *block*."""
-        return self.copy_sites & frozenset(block)
+        return self._copy_sites & frozenset(block)
 
     def max_operation(self, among: AbstractSet[int]) -> int:
         """Highest operation number among the given copy sites."""
-        sites = self._require_copies(among)
-        return max(self._states[s].operation for s in sites)
+        return self.quorum_scan(site_mask(among))[2].operation
 
     def max_version(self, among: AbstractSet[int]) -> int:
         """Highest version number among the given copy sites."""
-        sites = self._require_copies(among)
-        return max(self._states[s].version for s in sites)
+        newest = self.quorum_scan(site_mask(among))[1]
+        return self._states[lowest_site(newest)].version
 
     def current_sites(self, among: AbstractSet[int]) -> frozenset[int]:
         """``Q`` — sites whose operation number equals the block maximum."""
-        sites = self._require_copies(among)
-        top = max(self._states[s].operation for s in sites)
-        return frozenset(s for s in sites if self._states[s].operation == top)
+        return mask_sites(self.quorum_scan(site_mask(among))[0])
 
     def newest_sites(self, among: AbstractSet[int]) -> frozenset[int]:
         """``S`` — sites whose version number equals the block maximum."""
-        sites = self._require_copies(among)
-        top = max(self._states[s].version for s in sites)
-        return frozenset(s for s in sites if self._states[s].version == top)
+        return mask_sites(self.quorum_scan(site_mask(among))[1])
 
     def as_mapping(self) -> Mapping[int, tuple[int, int, frozenset[int]]]:
         """Snapshot of every copy's ``(o, v, P)`` triple, keyed by site id."""
         return {sid: st.snapshot() for sid, st in self._states.items()}
-
-    def _require_copies(self, among: AbstractSet[int]) -> frozenset[int]:
-        sites = self.copy_sites & frozenset(among)
-        if not sites:
-            raise ProtocolError(f"no copies among sites {sorted(among)}")
-        return sites

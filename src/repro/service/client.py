@@ -146,7 +146,8 @@ class ServiceClient:
 
     def ping(self, address: Optional[Tuple[str, int]] = None) -> bool:
         """Whether a replica answers at all (readiness probe)."""
-        target = address or self.addresses[self._cursor]
+        target = address or self.addresses[
+            self._cursor % len(self.addresses)]
         try:
             reply = self._request(target, {"kind": "ping"})
         except (OSError, ServiceError):

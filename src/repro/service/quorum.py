@@ -23,6 +23,7 @@ from typing import AbstractSet, Iterable, Mapping, Optional, Tuple
 from repro.core.base import Verdict, VotingProtocol
 from repro.core.registry import make_protocol
 from repro.errors import ConfigurationError
+from repro.net.sites import mask_sites, site_mask
 from repro.replica.state import ReplicaSet
 
 __all__ = [
@@ -37,8 +38,9 @@ class ClusterView:
     """A coordinator's partial view of the cluster network.
 
     Implements the slice of the :class:`~repro.net.views.NetworkView`
-    interface the quorum test consults: :meth:`max_site` for the tie
-    break and :meth:`same_segment` for topological vote claiming.
+    interface the quorum test consults: the block masks, :meth:`max_bit`
+    for the tie break and :meth:`segment_mates` for topological vote
+    claiming, beside their site-id forms.
     """
 
     def __init__(
@@ -50,14 +52,19 @@ class ClusterView:
         self._reachable = frozenset(reachable)
         self._all = frozenset(all_sites) | self._reachable
         self._segments = dict(segments or {})
+        silent = sorted(self._all - self._reachable)
+        #: The responder block, then one singleton per silent site.
+        self.block_masks = (site_mask(self._reachable),) + tuple(
+            1 << site for site in silent
+        )
+        self._mates: dict[int, int] = {}
+        for site, segment in self._segments.items():
+            self._mates[segment] = self._mates.get(segment, 0) | 1 << site
 
     @property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """The responder block plus one singleton per silent site."""
-        silent = self._all - self._reachable
-        return (self._reachable,) + tuple(
-            frozenset({site}) for site in sorted(silent)
-        )
+        return tuple(map(mask_sites, self.block_masks))
 
     def is_up(self, site_id: int) -> bool:
         """Whether *site_id* answered the state round."""
@@ -73,6 +80,10 @@ class ClusterView:
         """Highest site id among *site_ids* (the paper's tie-breaker)."""
         return max(site_ids)
 
+    def max_bit(self, mask: int) -> int:
+        """The bit of the highest site id in *mask*."""
+        return 1 << mask.bit_length() - 1
+
     def same_segment(self, a: int, b: int) -> bool:
         """Whether two sites share a configured network segment.
 
@@ -85,6 +96,13 @@ class ClusterView:
         seg_a = self._segments.get(a)
         seg_b = self._segments.get(b)
         return seg_a is not None and seg_a == seg_b
+
+    def segment_mates(self, mask: int) -> int:
+        """Mask of every site sharing a segment with a site of *mask*."""
+        mates = mask
+        for site in mask_sites(mask):
+            mates |= self._mates.get(self._segments.get(site), 0)
+        return mates
 
 
 def evaluate_round(
@@ -151,7 +169,7 @@ def plan_commit(
     ``COMMIT(S, o_m + 1, v_m [+1], S)`` for reads and writes (Figures
     1–2), ``COMMIT(S ∪ {l}, o_m + 1, v_m, S ∪ {l})`` for RECOVER
     (Figure 3).  Mirrors the arithmetic of
-    :meth:`repro.core.base.DynamicVotingFamily._commit_operation`,
+    :meth:`repro.core.base.DynamicVotingFamily._commit`,
     which cannot be called directly because a live COMMIT is a
     broadcast, not an in-memory mutation.
 

@@ -7,7 +7,9 @@ the subprocess path is covered by the bench end-to-end test.
 
 import asyncio
 import json
+import random
 
+from repro.service.client import ServiceClient
 from repro.service.cluster import free_port
 from repro.service.frames import encode_frame, read_frame
 from repro.service.replica import RECOVERY_MARKER, ReplicaConfig, ReplicaServer
@@ -66,6 +68,27 @@ class TestClientOperations:
                 assert read["value"] == "v1"
                 miss = await _ask(ports[3], {"kind": "get", "key": "nope"})
                 assert miss["ok"] is True and miss["value"] is None
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+    def test_bare_ping_after_the_rotation_wrapped(self, tmp_path):
+        """The rotation cursor only ever grows; ``ping()`` without an
+        address must wrap it like every other request does."""
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                client = ServiceClient(
+                    [(HOST, port) for port in ports.values()],
+                    rng=random.Random(0))
+
+                def drive():
+                    for i in range(len(client.addresses) + 1):
+                        assert client.put("k", i).ok
+                    return client.ping()
+
+                assert await asyncio.to_thread(drive) is True
             finally:
                 await _stop_all(servers)
 
