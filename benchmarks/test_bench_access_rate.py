@@ -13,12 +13,15 @@ from repro.experiments.runner import StudyParameters, default_horizon
 from repro.experiments.sweep import access_rate_sweep
 
 RATES = [0.1, 0.5, 1.0, 5.0, 20.0]
+#: The ODV-versus-LDV ordering asserted by the sweep is not resolved by
+#: fewer days (CI's smoke run sets ``REPRO_SIM_DAYS=2000``).
+MIN_HORIZON = 8_000.0
 
 
 def test_bench_access_rate_sweep(benchmark, artefact_sink):
     params = StudyParameters(
-        horizon=default_horizon(15_000.0), warmup=360.0, batches=5,
-        seed=1988,
+        horizon=max(default_horizon(15_000.0), MIN_HORIZON), warmup=360.0,
+        batches=5, seed=1988,
     )
     config = CONFIGURATIONS["F"]
 

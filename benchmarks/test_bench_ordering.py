@@ -16,10 +16,15 @@ from repro.experiments.report import ascii_table
 from repro.experiments.runner import StudyParameters, default_horizon
 
 
+#: The strict ordering asserted below is not resolved by fewer days
+#: (CI's smoke run sets ``REPRO_SIM_DAYS=2000``).
+MIN_HORIZON = 8_000.0
+
+
 def test_bench_ordering_choice(benchmark, artefact_sink):
     params = StudyParameters(
-        horizon=default_horizon(15_000.0), warmup=360.0, batches=5,
-        seed=1988,
+        horizon=max(default_horizon(15_000.0), MIN_HORIZON), warmup=360.0,
+        batches=5, seed=1988,
     )
     copies = CONFIGURATIONS["H"].copy_sites   # 1, 2 | 7, 8 across gateway 5
 

@@ -103,7 +103,7 @@ class AvailableCopy(VotingProtocol):
         self._current = self._current | {site_id}
         return verdict
 
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Pessimistic tracking: while any current copy is up, the current
         set is exactly the up copies (writes are assumed frequent and
         restarts clone instantly); during a total failure it is frozen."""
@@ -115,3 +115,4 @@ class AvailableCopy(VotingProtocol):
                 if state.version < newest:
                     state.commit(newest, newest, state.partition_set)
             self._current = up_copies
+        return self.evaluate(view)

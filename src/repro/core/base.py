@@ -404,16 +404,22 @@ class VotingProtocol(abc.ABC):
         """One round of the RECOVER loop at copy site *site_id*."""
 
     @abc.abstractmethod
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Bring protocol state up to date with the network view.
 
         For eager protocols the harness calls this after every network
         event (modelling the connection vector); for optimistic ones,
         only at access epochs.  Runs recoveries of reachable stale copies
-        and the quorum adjustment, to fixpoint.
+        and the quorum adjustment, to fixpoint — a second call under the
+        same view changes nothing.
+
+        Returns the verdict that stands when it finishes, equal to an
+        :meth:`evaluate` taken immediately after: its last evaluation if
+        no commit followed it, a fresh one otherwise.  It holds until
+        the view or the replica state changes.
         """
 
-    def recover_stale(self, view: NetworkView) -> None:
+    def recover_stale(self, view: NetworkView) -> Verdict:
         """Run pending RECOVER loops without touching the quorum.
 
         The paper's RECOVER is initiated by the restarting site itself
@@ -423,7 +429,10 @@ class VotingProtocol(abc.ABC):
         access time; the trace evaluator calls this after every network
         event for the optimistic policies.  Default: nothing to do
         (static protocols need no reintegration step).
+
+        Returns the standing verdict, as :meth:`synchronize` does.
         """
+        return self.evaluate(view)
 
     # ------------------------------------------------------------------
     def _require_copy(self, site_id: int) -> None:
@@ -628,7 +637,7 @@ class DynamicVotingFamily(VotingProtocol):
         return verdict
 
     # ------------------------------------------------------------------
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Recover every reachable stale copy, then adjust the quorum.
 
         Equivalent to: each stale reachable copy runs its RECOVER loop,
@@ -642,10 +651,11 @@ class DynamicVotingFamily(VotingProtocol):
             if verdict.granted and verdict.partition_mask != verdict.newest_mask:
                 # Null operation: quorum adjustment without data movement.
                 self._commit(verdict, "adjust", verdict.newest_mask)
-            return
+                return self.evaluate(view)
+            return verdict
         raise ProtocolError("synchronize failed to converge")  # pragma: no cover
 
-    def recover_stale(self, view: NetworkView) -> None:
+    def recover_stale(self, view: NetworkView) -> Verdict:
         """Recoveries only — the restarting sites' own RECOVER loops.
 
         Note that RECOVER's commit ``(S ∪ {l}, o_m + 1, v_m, S ∪ {l})``
@@ -656,8 +666,10 @@ class DynamicVotingFamily(VotingProtocol):
         eager protocols perform on every network event.
         """
         for _ in range(len(self._replicas) + 1):
-            if self._recover_one(view) is not None:
-                return
+            verdict = self._recover_one(view)
+            if verdict is not None:
+                return verdict
+        raise ProtocolError("recover_stale failed to converge")  # pragma: no cover
 
     def _recover_one(self, view: NetworkView) -> Optional[Verdict]:
         """Evaluate; if the granting block holds a stale copy, run the

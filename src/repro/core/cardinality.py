@@ -145,13 +145,13 @@ class CardinalityDynamicVoting(VotingProtocol):
             self._cards[sid].commit(top + 1, len(members))
         return verdict
 
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Eager fixpoint, mirroring the partition-set family."""
         copies = frozenset(self._cards)
         for _ in range(len(copies) + 2):
             verdict = self.evaluate(view)
             if not verdict.granted:
-                return
+                return verdict
             stale = sorted((copies & verdict.block) - verdict.current)
             if stale:
                 self.recover(view, stale[0])
@@ -160,7 +160,8 @@ class CardinalityDynamicVoting(VotingProtocol):
             if cardinality != len(verdict.current):
                 # Null operation: shrink the recorded quorum size.
                 self._operate(view, min(verdict.current))
-            return
+                return self.evaluate(view)
+            return verdict
         raise ProtocolError(  # pragma: no cover - defensive
             "synchronize failed to converge"
         )

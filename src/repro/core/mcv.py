@@ -133,8 +133,9 @@ class MajorityConsensusVoting(VotingProtocol):
             state.commit(newest_version, newest_version, state.partition_mask)
         return verdict
 
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """MCV keeps no dynamic quorum state; nothing to do."""
+        return self.evaluate(view)
 
     # ------------------------------------------------------------------
     def operate(self, view: NetworkView, site_id: int, kind: OperationKind) -> Verdict:

@@ -196,7 +196,7 @@ class VoteReassignmentVoting(VotingProtocol):
         return verdict
 
     # ------------------------------------------------------------------
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Reassign votes to match the view (failure detection reacts).
 
         Within the granting block: recover stale members, then commit a
@@ -208,7 +208,7 @@ class VoteReassignmentVoting(VotingProtocol):
         for _ in range(len(copies) + 2):
             verdict = self.evaluate(view)
             if not verdict.granted:
-                return
+                return verdict
             stale = sorted((copies & verdict.block) - verdict.current)
             if stale:
                 self.recover(view, stale[0])
@@ -221,7 +221,8 @@ class VoteReassignmentVoting(VotingProtocol):
                 for sid in live:
                     state = self._states[sid]
                     state.commit(new_assignment, target, state.version)
-            return
+                return self.evaluate(view)
+            return verdict
         raise ProtocolError(  # pragma: no cover - defensive
             "synchronize failed to converge"
         )

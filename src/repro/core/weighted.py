@@ -179,5 +179,6 @@ class WeightedMajorityVoting(VotingProtocol):
             state.commit(newest_version, newest_version, state.partition_set)
         return verdict
 
-    def synchronize(self, view: NetworkView) -> None:
+    def synchronize(self, view: NetworkView) -> Verdict:
         """Static quorums: nothing to maintain."""
+        return self.evaluate(view)

@@ -32,6 +32,7 @@ from repro.experiments.evaluator import (
     evaluate_policy,
     periodic_times,
     poisson_times,
+    view_timeline,
 )
 from repro.experiments.overhead import OverheadResult, measure_overhead
 from repro.experiments.runner import CellResult, StudyParameters, run_cell, run_study
@@ -72,5 +73,6 @@ __all__ = [
     "run_scenario",
     "run_study",
     "testbed_topology",
+    "view_timeline",
     "witness_placement_sweep",
 ]

@@ -11,6 +11,9 @@ The measurement model (DESIGN.md §3):
   (default: Poisson, one access per day).
 * Between events the availability verdict cannot change, so the tracker
   integrates downtime exactly.
+* The verdict stands until the view or the replica state changes, and
+  ``synchronize`` is idempotent: the replay evaluates once per event,
+  and back-to-back accesses under one view are one synchronisation.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from operator import le
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.prof.phases import PhaseProfiler
@@ -31,6 +36,7 @@ from repro.errors import ConfigurationError
 from repro.failures.trace import FailureTrace
 from repro.net.sites import site_mask
 from repro.net.topology import Topology
+from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 from repro.stats.batch_means import BatchMeans, ConfidenceInterval
 from repro.stats.tracker import AvailabilityTracker
@@ -41,6 +47,7 @@ __all__ = [
     "evaluate_policy",
     "periodic_times",
     "poisson_times",
+    "view_timeline",
 ]
 
 
@@ -136,8 +143,11 @@ class EvaluationResult:
         interval: 95 % batch-means confidence interval on unavailability.
         committed_operations: Highest operation number reached by any
             copy — a proxy for the protocol's state-update traffic.
-        synchronizations: How many times the protocol was synchronised
-            (per network event for eager policies, per access otherwise).
+        synchronizations: Transitions synchronised (eager policies) or
+            accesses served (optimistic ones).  Every access counts,
+            including one the replay carried without calling the
+            protocol because it directly followed another access under
+            the same view.
     """
 
     policy: str
@@ -191,6 +201,47 @@ class EvaluationResult:
 PolicySpec = Union[str, Callable[[ReplicaSet], VotingProtocol]]
 
 
+def view_timeline(
+    topology: Topology, trace: FailureTrace
+) -> tuple[NetworkView, ...]:
+    """The network view before the first transition of *trace* and after
+    each one: ``len(trace.events) + 1`` views, entry ``i`` standing from
+    event ``i - 1`` until event ``i``.
+
+    It depends on the topology and the trace only, so a study builds it
+    once and every cell indexes it (``evaluate_policy(views=...)``).  A
+    trace revisits few distinct up-sets; each is snapshotted once and
+    the view object shared.
+    """
+    up = site_mask(trace.site_ids)
+    by_up = {up: topology.view(up)}
+    views = [by_up[up]]
+    for event in trace.events:
+        if event.up:
+            up |= 1 << event.site_id
+        else:
+            up &= ~(1 << event.site_id)
+        view = by_up.get(up)
+        if view is None:
+            view = by_up[up] = topology.view(up)
+        views.append(view)
+    return tuple(views)
+
+
+def _check_access_times(access_times: Sequence[float], horizon: float) -> None:
+    """Access epochs must be sorted and inside ``(0, horizon)``: the
+    replay consumes them in order and never looks back."""
+    if not access_times:
+        return
+    if not all(map(le, access_times, access_times[1:])):
+        raise ConfigurationError("access_times must be sorted")
+    if not (access_times[0] > 0 and access_times[-1] < horizon):
+        raise ConfigurationError(
+            f"access_times must lie inside (0, {horizon}); got "
+            f"[{access_times[0]}, {access_times[-1]}]"
+        )
+
+
 def evaluate_policy(
     policy: PolicySpec,
     topology: Topology,
@@ -201,8 +252,15 @@ def evaluate_policy(
     access_times: tuple[float, ...] = (),
     tracer: Optional["Tracer"] = None,
     profiler: Optional["PhaseProfiler"] = None,
+    views: Optional[Sequence[NetworkView]] = None,
 ) -> EvaluationResult:
     """Replay *trace* against one policy and measure availability.
+
+    The protocol is called only when the (view, replica state) pair can
+    have changed: once per site transition, and once for the first
+    access after a transition.  An access that directly follows another
+    access finds a ``synchronize`` fixpoint under an unchanged view; it
+    is counted and carried.
 
     Args:
         policy: Abbreviation accepted by :func:`repro.core.make_protocol`.
@@ -213,16 +271,20 @@ def evaluate_policy(
         warmup: Transient discarded before measurement, in days (the
             paper uses 360).
         batches: Number of equal-time batches for the confidence interval.
-        access_times: Access epochs; required for optimistic policies,
-            ignored by eager ones.
+        access_times: Access epochs, sorted and inside ``(0, horizon)``;
+            required for optimistic policies, ignored by eager ones.
         tracer: Attached to the protocol for the replay, so every quorum
             test emits a decision record (``None``, the default, adds no
-            per-event work).
+            per-event work).  A traced replay carries no access: each
+            one runs, so each keeps its decision record.
         profiler: Attached to the protocol for the replay and fed the
-            hot-path counts of the merge loop (site transitions,
-            accesses, synchronizations); the whole replay is timed as a
-            ``replay`` phase.  ``None`` (the default) adds no per-event
-            work — the check is hoisted out of the loop.
+            hot-path counts of the replay (site transitions and
+            accesses, carried ones included); the whole replay is timed
+            as a ``replay`` phase.  ``None`` (the default) adds no
+            per-event work — the check is hoisted out of the loop.
+        views: ``view_timeline(topology, trace)``, when the caller
+            replays several policies over one trace and has built it
+            already; built here otherwise.
     """
     unknown = copy_sites - topology.site_ids
     if unknown:
@@ -236,6 +298,15 @@ def evaluate_policy(
         )
     if batches < 1:
         raise ConfigurationError(f"batches must be >= 1, got {batches}")
+    _check_access_times(access_times, trace.horizon)
+    trace_events = trace.events
+    if views is None:
+        views = view_timeline(topology, trace)
+    elif len(views) != len(trace_events) + 1:
+        raise ConfigurationError(
+            f"views must hold one view per transition plus the initial one; "
+            f"got {len(views)} for {len(trace_events)} transitions"
+        )
 
     replicas = ReplicaSet(copy_sites)
     if isinstance(policy, str):
@@ -252,69 +323,63 @@ def evaluate_policy(
             "(e.g. poisson_times(1.0, trace.horizon, seed))"
         )
 
-    up = site_mask(trace.site_ids)
-    view = topology.view(up)
     if tracer is not None:
         tracer.set_time(0.0)
     tracker = AvailabilityTracker(
         0.0,
-        initially_up=protocol.is_available(view),
+        initially_up=protocol.is_available(views[0]),
         warmup=warmup,
         keep_periods=True,
     )
 
-    synchronizations = 0
-    trace_events = trace.events
-    accesses = access_times if not protocol.eager else ()
-    i = j = 0
-    n_trace, n_access = len(trace_events), len(accesses)
+    n_trace = len(trace_events)
+    if protocol.eager:
+        accesses: Sequence[float] = ()
+        after_transition = protocol.synchronize
+        synchronizations = n_trace
+    else:
+        # Restarting sites run their own RECOVER loops without waiting
+        # for an access (see VotingProtocol.recover_stale); quorum
+        # adjustment still waits for the access stream.
+        accesses = access_times
+        after_transition = protocol.recover_stale
+        synchronizations = 0
     # Hoisted: a profiler cannot (re)attach mid-replay, so the disabled
-    # path pays nothing inside the merge loop.
+    # path pays nothing inside the loop.
     profiling = profiler is not None
     replay_phase = (
         profiler.phase("replay", policy=protocol.name)
         if profiling else contextlib.nullcontext()
     )
     with replay_phase:
-        while i < n_trace or j < n_access:
-            # Merge the two streams; on exact ties apply the site
-            # transition first so the access observes the
-            # post-transition network.
-            take_trace = j >= n_access or (
-                i < n_trace and trace_events[i].time <= accesses[j]
-            )
-            if take_trace:
-                event = trace_events[i]
-                i += 1
-                if event.up:
-                    up |= 1 << event.site_id
-                else:
-                    up &= ~(1 << event.site_id)
-                view = topology.view(up)
-                now = event.time
+        # Epoch i runs under views[i]: transition i - 1 opens it, then
+        # come the accesses before transition i.  On an exact tie the
+        # transition goes first, so the access observes the
+        # post-transition network.
+        j = 0
+        for i, view in enumerate(views):
+            if i:
+                now = trace_events[i - 1].time
                 if tracer is not None:
                     tracer.set_time(now)
                 if profiling:
                     profiler.count("replay.transitions")
-                if protocol.eager:
-                    protocol.synchronize(view)
-                    synchronizations += 1
-                else:
-                    # Restarting sites run their own RECOVER loops
-                    # without waiting for an access (see
-                    # VotingProtocol.recover_stale); quorum adjustment
-                    # still waits for the access stream.
-                    protocol.recover_stale(view)
-            else:
-                now = accesses[j]
-                j += 1
-                if tracer is not None:
-                    tracer.set_time(now)
+                tracker.set_state(now, after_transition(view).granted)
+            end = trace_events[i].time if i < n_trace else math.inf
+            k = bisect_left(accesses, end, j)
+            if k > j:
+                # The first access of the epoch synchronises; the rest
+                # find a fixpoint under an unchanged view and are carried
+                # — unless traced, when each runs for its decision record.
+                run_until = k if tracer is not None else j + 1
+                for now in accesses[j:run_until]:
+                    if tracer is not None:
+                        tracer.set_time(now)
+                    tracker.set_state(now, protocol.synchronize(view).granted)
                 if profiling:
-                    profiler.count("replay.accesses")
-                protocol.synchronize(view)
-                synchronizations += 1
-            tracker.set_state(now, protocol.is_available(view))
+                    profiler.count("replay.accesses", k - j)
+                synchronizations += k - j
+                j = k
     tracker.finish(trace.horizon)
 
     interval = _batch_interval(tracker, warmup, trace.horizon, batches)

@@ -20,11 +20,13 @@ from repro.experiments.evaluator import (
     EvaluationResult,
     evaluate_policy,
     poisson_times,
+    view_timeline,
 )
 from repro.experiments.testbed import testbed_topology
 from repro.failures.profiles import testbed_profiles
 from repro.failures.trace import FailureTrace, generate_trace
 from repro.net.topology import Topology
+from repro.net.views import NetworkView
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.telemetry import StudyProgress
@@ -122,12 +124,15 @@ def run_cell(
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional["PhaseProfiler"] = None,
     extra_sinks: Sequence[object] = (),
+    views: Optional[Sequence[NetworkView]] = None,
 ) -> CellResult:
     """Evaluate one (configuration, policy) cell.
 
     *topology*, *trace* and *access_times* may be passed in so a study
     shares them across cells (common random numbers); when omitted they
-    are built from *params*.
+    are built from *params*.  So may *views*, the trace's
+    :func:`~repro.experiments.evaluator.view_timeline`, which every cell
+    of one trace would otherwise rebuild.
 
     With a *metrics* registry, the cell's replay is wrapped in a
     ``cell.seconds`` timer and the protocol's decision stream is counted
@@ -164,6 +169,7 @@ def run_cell(
             access_times=access_times,
             tracer=tracer,
             profiler=profiler,
+            views=views,
         )
 
     sinks: list[object] = []
@@ -248,7 +254,7 @@ def _describe_error(exc: BaseException) -> str:
 
 #: Per-worker study context, installed once by the pool initializer so
 #: the (large) failure trace and access stream are pickled per *worker*,
-#: not per task.
+#: not per task, and the view timeline is built once per worker.
 _WORKER_CONTEXT: dict = {}
 
 
@@ -260,7 +266,8 @@ def _init_worker(
     _WORKER_CONTEXT["params"] = params
     _WORKER_CONTEXT["trace"] = trace
     _WORKER_CONTEXT["access_times"] = access_times
-    _WORKER_CONTEXT["topology"] = testbed_topology()
+    topology = _WORKER_CONTEXT["topology"] = testbed_topology()
+    _WORKER_CONTEXT["views"] = view_timeline(topology, trace)
     _WORKER_CONTEXT["events_per_cell"] = (
         len(trace.events) + len(access_times)
     )
@@ -305,6 +312,7 @@ def _run_cell_worker(
         access_times=_WORKER_CONTEXT["access_times"],
         metrics=metrics,
         extra_sinks=extra_sinks,
+        views=_WORKER_CONTEXT["views"],
     )
     if want_live:
         from repro.obs.live.resources import ResourceSampler
@@ -356,7 +364,8 @@ def run_study(
 
     One failure trace and one access stream are generated per study and
     shared by every cell, exactly as the paper measures all policies in
-    one simulation.  Returns a :class:`StudyResult` mapping keyed by
+    one simulation; so is the trace's view timeline (once per worker
+    with ``jobs > 1``).  Returns a :class:`StudyResult` mapping keyed by
     ``(config_key, policy)``.
 
     A cell whose evaluation raises does **not** abort the study: the
@@ -489,6 +498,7 @@ def run_study(
     if capture_timelines:
         from repro.obs.registry.store import TimelineSink
     if jobs is None or jobs == 1:
+        views = view_timeline(topology, trace)
         for configuration in configurations:
             for policy in policies:
                 key = (configuration.key, policy)
@@ -515,6 +525,7 @@ def run_study(
                                 (timeline_sink,)
                                 if timeline_sink is not None else ()
                             ),
+                            views=views,
                         )
                     except Exception as exc:
                         last_error = _describe_error(exc)

@@ -16,8 +16,8 @@ from typing import Iterable, Union
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Site", "SiteSet", "as_mask", "lexicographic_max", "lowest_site",
-           "mask_sites", "site_mask"]
+__all__ = ["Site", "SiteSet", "as_mask", "lowest_site", "mask_sites",
+           "site_mask"]
 
 #: Site ids (a set, or any iterable), or the mask that stands for them.
 SiteSet = Union[Iterable[int], int]
@@ -91,22 +91,3 @@ def lowest_site(mask: int) -> int:
     """The smallest site id in the non-empty *mask* (for a single bit:
     the site it stands for)."""
     return (mask & -mask).bit_length() - 1
-
-
-def lexicographic_max(site_ids: Iterable[int], ranks: dict[int, float]) -> int:
-    """The maximum element of *site_ids* under the site ordering.
-
-    Ties in rank are broken by the smaller id so the order is total even
-    with user-supplied duplicate ranks.
-
-    Raises:
-        ConfigurationError: if *site_ids* is empty or contains an id
-            missing from *ranks*.
-    """
-    ids = list(site_ids)
-    if not ids:
-        raise ConfigurationError("lexicographic_max of an empty site set")
-    try:
-        return max(ids, key=lambda s: (ranks[s], -s))
-    except KeyError as exc:
-        raise ConfigurationError(f"no rank for site {exc.args[0]}") from exc

@@ -51,7 +51,7 @@ class Topology(abc.ABC):
         self._site_ids = frozenset(self._sites)
         self._site_mask = site_mask(self._sites)
         # Bits from the lexicographic maximum down (equal ranks: the
-        # smaller id first, as in lexicographic_max) for the tie-break.
+        # smaller id first) for the tie-break.
         self._rank_bits = tuple(
             1 << s.id for s in sorted(sites, key=lambda s: (-s.rank, s.id)))
         # bit -> mask of the sites on that site's segment; families with
@@ -89,7 +89,7 @@ class Topology(abc.ABC):
         for bit in self._rank_bits:
             if bit & mask:
                 return bit
-        raise ConfigurationError("lexicographic_max of an empty site set")
+        raise ConfigurationError("lexicographic maximum of an empty site set")
 
     def _known_mask(self, mask: int) -> int:
         """*mask*, after checking that every site in it exists."""

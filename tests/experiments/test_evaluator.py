@@ -8,6 +8,7 @@ from repro.experiments.evaluator import (
     evaluate_policy,
     periodic_times,
     poisson_times,
+    view_timeline,
 )
 from repro.failures.trace import FailureTrace, TraceEvent
 from repro.net.topology import single_segment
@@ -253,6 +254,32 @@ class TestHandComputedUnavailability:
         with pytest.raises(ConfigurationError):
             evaluate_policy("MCV", lan3, frozenset({1}), trace, batches=0)
 
+    @pytest.mark.parametrize("times", [
+        (30.0, 20.0, 40.0),   # unsorted, and the verdict never flips
+        (0.0, 10.0),          # epoch at the origin
+        (10.0, 1000.0),       # epoch at the horizon
+        (10.0, float("nan")),
+    ])
+    def test_access_times_must_be_sorted_and_inside_the_horizon(
+            self, lan3, times):
+        with pytest.raises(ConfigurationError, match="access_times"):
+            evaluate_policy("ODV", lan3, frozenset({1, 2, 3}), _trace([]),
+                            warmup=0.0, batches=1, access_times=times)
+
+    def test_repeated_access_epochs_are_accepted(self, lan3):
+        result = evaluate_policy(
+            "ODV", lan3, frozenset({1, 2, 3}), _trace([]),
+            warmup=0.0, batches=1, access_times=(10.0, 10.0, 20.0))
+        assert result.synchronizations == 3
+
+    def test_views_must_match_the_trace(self, lan3):
+        trace = _trace([(100.0, 3, False)])
+        views = view_timeline(lan3, trace)
+        assert [sorted(view.up) for view in views] == [[1, 2, 3], [1, 2]]
+        with pytest.raises(ConfigurationError, match="views"):
+            evaluate_policy("MCV", lan3, frozenset({1, 2, 3}), trace,
+                            warmup=0.0, batches=1, views=views[:1])
+
     def test_simultaneous_event_and_access_orders_event_first(self, lan3):
         """A transition and an access at the same instant: the access
         observes the post-transition network (Priority semantics)."""
@@ -277,3 +304,53 @@ class TestHandComputedUnavailability:
         assert result.availability == pytest.approx(1.0 - result.unavailability)
         assert result.synchronizations == 2  # one per trace event
         assert result.committed_operations >= 2
+
+
+class TestEvaluatesOnlyOnChange:
+    """One quorum evaluation per event that can change the verdict; an
+    access that directly follows another access is counted, not run."""
+
+    #: Site 3 is down over [100, 200): 2 transitions, 3 epochs.
+    EVENTS = [(100.0, 3, False), (200.0, 3, True)]
+    #: Three accesses before, one during (at the tie), two after.
+    ACCESSES = (10.0, 20.0, 30.0, 100.0, 300.0, 300.0)
+
+    def _replay(self, lan3, policy, **hooks):
+        return evaluate_policy(
+            policy, lan3, frozenset({1, 2, 3}), _trace(self.EVENTS),
+            warmup=0.0, batches=1, access_times=self.ACCESSES, **hooks)
+
+    def test_synchronizations_count_every_access_carried_or_not(self, lan3):
+        assert self._replay(lan3, "ODV").synchronizations == 6
+        assert self._replay(lan3, "LDV").synchronizations == 2
+
+    def test_profiler_counts_real_evaluations(self, lan3):
+        from repro.obs.prof.phases import PhaseProfiler
+
+        profiler = PhaseProfiler()
+        self._replay(lan3, "ODV", profiler=profiler)
+        counters = profiler.to_dict()["counters"]
+        assert counters["replay.transitions"] == 2
+        assert counters["replay.accesses"] == 6
+        # The initial probe; one per transition plus the RECOVER of site
+        # 3 at t=200; the first access of each epoch, plus the fresh
+        # evaluation after the quorum adjustment at t=100.
+        assert counters["quorum.evaluate.ODV"] == 1 + (2 + 1) + (3 + 1)
+
+    def test_traced_replay_runs_every_access(self, lan3):
+        from repro.obs.tracer import MemorySink, Tracer
+
+        sink = MemorySink()
+        traced = self._replay(lan3, "ODV", tracer=Tracer(sink))
+        assert traced == self._replay(lan3, "ODV")
+        verdicts = [r for r in sink.records
+                    if r.kind in ("quorum.granted", "quorum.denied")]
+        by_time = {}
+        for record in verdicts:
+            by_time[record.time] = by_time.get(record.time, 0) + 1
+        # One decision record per evaluation: every access keeps its own
+        # (two at t=300), and no post-synchronise probe repeats it.  At
+        # t=100 the transition and the access each evaluate, and the
+        # access's quorum adjustment is followed by a fresh evaluation.
+        assert by_time == {0.0: 1, 10.0: 1, 20.0: 1, 30.0: 1, 100.0: 3,
+                           200.0: 3, 300.0: 2}

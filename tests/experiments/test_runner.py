@@ -94,16 +94,34 @@ class TestRunStudy:
         assert set(cells) == {("A", "MCV")}
 
     def test_parallel_matches_sequential(self, quick):
-        """jobs=2 must be bit-identical to the in-process run."""
-        sequential = run_study(quick, policies=("MCV", "LDV", "ODV"))
-        parallel = run_study(quick, policies=("MCV", "LDV", "ODV"), jobs=2)
+        """jobs=2 must be bit-identical to the in-process run, in every
+        field: each worker replays over its own view timeline."""
+        policies = ("MCV", "LDV", "ODV", "OTDV")
+        sequential = run_study(quick, policies=policies)
+        parallel = run_study(quick, policies=policies, jobs=2)
         assert set(parallel) == set(sequential)
         for key, cell in sequential.items():
-            assert parallel[key].unavailability == cell.unavailability
-            assert (parallel[key].mean_down_duration
-                    == cell.mean_down_duration)
-            assert (parallel[key].result.down_periods
-                    == cell.result.down_periods)
+            assert parallel[key].result == cell.result
+
+    def test_worker_builds_the_timeline_once(self, quick, monkeypatch):
+        import repro.experiments.evaluator as evaluator_module
+        from repro.failures.profiles import testbed_profiles
+        from repro.failures.trace import generate_trace
+
+        expected = run_cell(CONFIGURATIONS["H"], "ODV", quick).result
+        trace = generate_trace(testbed_profiles(), quick.horizon, quick.seed)
+        accesses = evaluator_module.poisson_times(
+            1.0, trace.horizon, quick.seed)
+        monkeypatch.setattr(runner_module, "_WORKER_CONTEXT", {})
+        runner_module._init_worker(quick, trace, accesses)
+        views = runner_module._WORKER_CONTEXT["views"]
+        assert len(views) == len(trace.events) + 1
+        monkeypatch.setattr(
+            evaluator_module, "view_timeline",
+            lambda *args: pytest.fail("a cell rebuilt the view timeline"))
+        _, cell, _, _ = runner_module._run_cell_worker(
+            ("H", "ODV", False, False, False))
+        assert cell.result == expected
 
     def test_invalid_jobs_rejected(self, quick):
         with pytest.raises(ConfigurationError):

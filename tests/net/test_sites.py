@@ -1,9 +1,9 @@
-"""Unit tests for sites and the lexicographic ordering."""
+"""Unit tests for sites."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.sites import Site, lexicographic_max
+from repro.net.sites import Site
 
 
 class TestSite:
@@ -29,26 +29,3 @@ class TestSite:
         assert hash(site) == hash(Site(1))
         with pytest.raises(AttributeError):
             site.id = 2  # type: ignore[misc]
-
-
-class TestLexicographicMax:
-    def test_default_ranks_pick_lowest_id(self):
-        ranks = {i: float(-i) for i in (1, 2, 3)}
-        assert lexicographic_max([2, 3, 1], ranks) == 1
-        assert lexicographic_max([2, 3], ranks) == 2
-
-    def test_custom_ranks_override(self):
-        ranks = {1: 0.0, 2: 10.0, 3: 5.0}
-        assert lexicographic_max([1, 2, 3], ranks) == 2
-
-    def test_rank_ties_break_by_lower_id(self):
-        ranks = {4: 1.0, 7: 1.0}
-        assert lexicographic_max([7, 4], ranks) == 4
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lexicographic_max([], {})
-
-    def test_missing_rank_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lexicographic_max([1, 2], {1: 0.0})

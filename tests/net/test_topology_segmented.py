@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TopologyError, UnknownSiteError
+from repro.errors import ConfigurationError, TopologyError, UnknownSiteError
 from repro.net.sites import Site
 from repro.net.topology import SegmentedTopology, single_segment
 
@@ -84,6 +84,19 @@ class TestQueries:
 
     def test_max_site_default_order(self, testbed):
         assert testbed.max_site({2, 5, 7}) == 2
+
+    def test_max_site_follows_ranks_and_breaks_ties_by_lower_id(self):
+        sites = [Site(1, rank=0.0), Site(2, rank=10.0), Site(3, rank=5.0),
+                 Site(4, rank=1.0), Site(7, rank=1.0)]
+        topology = SegmentedTopology(sites, {"a": [1, 2, 3, 4, 7]})
+        assert topology.max_site({1, 2, 3}) == 2
+        assert topology.max_site({7, 4}) == 4
+
+    def test_max_site_rejects_empty_and_unknown_sets(self, testbed):
+        with pytest.raises(ConfigurationError):
+            testbed.max_site(set())
+        with pytest.raises(UnknownSiteError):
+            testbed.max_site({1, 99})
 
 
 class TestPartitionOracle:
