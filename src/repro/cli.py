@@ -2145,8 +2145,9 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
         if temporary:
             shutil.rmtree(directory, ignore_errors=True)
         return 0
-    print(f"service bench FAILED; cluster state kept under {directory}",
-          file=sys.stderr)
+    print(f"service bench FAILED "
+          f"({', '.join(document['failed_gates'])}); "
+          f"cluster state kept under {directory}", file=sys.stderr)
     return 1
 
 

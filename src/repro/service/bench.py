@@ -14,6 +14,10 @@ worker threads hammer the cluster, and then holds the run to account:
 * every SIGKILLed replica must have come back, verified its replay
   byte-for-byte and been reinserted by a RECOVER quorum.
 
+A run that misses one says which: ``failed_gates`` (per policy and at
+the top level) names the gates that tripped — ``violations``,
+``recovery``, ``kills``, ``partitions``.
+
 The result document (``format: repro-service-bench``) carries latency
 quantiles and per-outcome availability per policy; the per-operation
 samples are returned separately for the registry's sidecar file.
@@ -343,12 +347,17 @@ def _run_policy(
                         if record["verb"] == "crash")
     applied_partitions = sum(1 for record in driver.applied
                              if record["verb"] == "partition")
-    ok = (not violations and recovered
-          and applied_kills >= options.min_kills
-          and applied_partitions >= options.min_partitions)
+    failed_gates = [gate for gate, passed in (
+        ("violations", not violations),
+        ("recovery", recovered),
+        ("kills", applied_kills >= options.min_kills),
+        ("partitions", applied_partitions >= options.min_partitions),
+    ) if not passed]
+    ok = not failed_gates
     doc = {
         "policy": policy,
         "ok": ok,
+        "failed_gates": failed_gates,
         "load": load.to_dict(),
         "faults": list(driver.applied),
         "kills": list(cluster.kills),
@@ -432,6 +441,8 @@ def run_bench(
         "tsdb": None if tsdb_dir is None else str(tsdb_dir),
         "policies": policies,
         "ok": all(doc["ok"] for doc in policies.values()),
+        "failed_gates": sorted({gate for doc in policies.values()
+                                for gate in doc["failed_gates"]}),
         "totals": {
             "operations": sum(
                 doc["load"]["operations"] for doc in policies.values()),

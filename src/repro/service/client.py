@@ -1,8 +1,8 @@
 """The blocking service client: retries, timeouts, replica failover.
 
 A :class:`ServiceClient` is what the load generator (and a human at
-the CLI) uses: plain blocking sockets, one frame out and one frame
-back per request, with the shared
+the CLI) uses: plain blocking sockets kept open between requests, one
+frame out and one frame back per request, with the shared
 :class:`~repro.util.backoff.BackoffPolicy` pacing retries and a
 rotation over every replica address for failover.
 
@@ -107,9 +107,22 @@ class _Retryable(ServiceError):
 class ServiceClient:
     """A blocking client over one or more replica addresses.
 
-    Each request opens a fresh connection to the next address in the
-    rotation (round-robin from a random seeded start), so a dead or
-    partitioned replica only costs one timeout before failover.
+    Each request goes to the next address in the rotation (round-robin
+    from a random seeded start), so a dead or partitioned replica only
+    costs one timeout before failover.
+
+    Connection rules: one socket is kept per address and carries one
+    request at a time — it is taken out of the table while a request
+    is in flight and put back only after a complete reply.  A time-out
+    or a torn frame closes it (a late reply must never be read as the
+    answer to the next request) and is reported like a failed fresh
+    connection.  Only an EOF or reset on a *reused* socket — the
+    replica restarted since it was last used — is redialled once
+    before being reported.  :meth:`close` (or leaving the ``with``
+    block) closes every kept socket.
+
+    A client is single-threaded, like the sockets it keeps: give each
+    thread its own.
 
     With a *recorder*, every operation opens a root span and every
     attempt a child span whose context rides the request frame's
@@ -134,6 +147,19 @@ class ServiceClient:
         self.recorder = recorder
         self._rng = rng or random.Random()
         self._cursor = self._rng.randrange(len(self.addresses))
+        self._sockets: dict[Tuple[str, int], socket.socket] = {}
+
+    def close(self) -> None:
+        """Close every kept connection (the client stays usable)."""
+        for sock in self._sockets.values():
+            sock.close()
+        self._sockets.clear()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> OpResult:
@@ -267,12 +293,31 @@ class ServiceClient:
 
     def _request(self, address: Tuple[str, int],
                  message: dict[str, Any]) -> Optional[dict[str, Any]]:
-        with socket.create_connection(address,
-                                      timeout=self.timeout) as sock:
-            send_frame(sock, message)
+        sock = self._sockets.pop(address, None)
+        reused = sock is not None
+        while True:
+            if sock is None:
+                sock = socket.create_connection(address,
+                                                timeout=self.timeout)
+            reply = None
             try:
-                return recv_frame(sock)
+                send_frame(sock, message)
+                reply = recv_frame(sock)
             except socket.timeout as exc:
                 raise _Retryable(
                     f"timed out waiting for {address[0]}:{address[1]}"
                 ) from exc
+            except ConnectionError:
+                if not reused:
+                    raise
+            finally:
+                if reply is None:
+                    sock.close()
+            if reply is not None:
+                self._sockets[address] = sock
+                return reply
+            if not reused:
+                return None
+            # EOF or reset on a socket that carried a reply before: the
+            # replica restarted since.  Dial it again, once.
+            sock, reused = None, False

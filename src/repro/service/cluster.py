@@ -15,6 +15,7 @@ indirection.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import pathlib
@@ -68,11 +69,24 @@ def parse_segments(spec: Optional[str]) -> Optional[dict[int, int]]:
     return segments or None
 
 
+def free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
+    """Ask the OS for *count* distinct ephemeral ports.
+
+    Every probe socket stays bound until all are chosen: a probe
+    released before the next bind may be handed out twice.
+    """
+    with contextlib.ExitStack() as probes:
+        ports = []
+        for _ in range(count):
+            probe = probes.enter_context(socket.socket())
+            probe.bind((host, 0))
+            ports.append(int(probe.getsockname()[1]))
+        return ports
+
+
 def free_port(host: str = "127.0.0.1") -> int:
-    """Ask the OS for an ephemeral port (bind-probe, then release)."""
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return int(probe.getsockname()[1])
+    """One ephemeral port (bind-probe, then release)."""
+    return free_ports(1, host)[0]
 
 
 class AsyncRuntime:
@@ -211,11 +225,12 @@ class LocalCluster:
     def start(self, ready_timeout: float = 20.0) -> None:
         """Allocate ports, start the proxy, spawn and await replicas."""
         self.root.mkdir(parents=True, exist_ok=True)
-        for site in self.sites:
-            self.replica_ports[site] = free_port(self.spec.host)
-            if self.spec.proxy:
-                self.proxy_ports[site] = free_port(self.spec.host)
+        count = len(self.sites)
+        ports = free_ports(2 * count if self.spec.proxy else count,
+                           self.spec.host)
+        self.replica_ports = dict(zip(self.sites, ports))
         if self.spec.proxy:
+            self.proxy_ports = dict(zip(self.sites, ports[count:]))
             self.runtime.start()
             if self.spec.trace:
                 self.proxy_recorder = SpanRecorder(
@@ -290,13 +305,13 @@ class LocalCluster:
         """
         deadline = time.monotonic() + timeout
         pending = dict(zip(self.sites, self.client_addresses))
-        probe = ServiceClient(self.client_addresses, timeout=0.5)
-        while pending and time.monotonic() < deadline:
-            for site, address in list(pending.items()):
-                if probe.ping(address):
-                    del pending[site]
-            if pending:
-                time.sleep(0.1)
+        with ServiceClient(self.client_addresses, timeout=0.5) as probe:
+            while pending and time.monotonic() < deadline:
+                for site, address in list(pending.items()):
+                    if probe.ping(address):
+                        del pending[site]
+                if pending:
+                    time.sleep(0.1)
         if pending:
             details = []
             for site in pending:

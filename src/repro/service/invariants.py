@@ -21,7 +21,7 @@ Zero violations is the bench's acceptance gate.
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Union
 
 from repro.service.store import DurableReplica, commit_body
 
@@ -31,31 +31,53 @@ __all__ = [
 ]
 
 
+class _SiteHistories(Mapping):
+    """``{site: history}`` read from the data directories on access.
+
+    A history grows with the cluster's age; holding one site's at a
+    time keeps the safety sweep's memory flat in the number of sites.
+    """
+
+    def __init__(self, root: pathlib.Path, sites: list[int]):
+        self._sites = sites
+        self._directories = {
+            site: directory for site in sites
+            if (directory := root / f"site-{site}").exists()
+        }
+
+    def __getitem__(self, site: int) -> list[dict[str, Any]]:
+        store = DurableReplica.open(self._directories[site], site,
+                                    self._sites, fsync="never")
+        try:
+            return store.history
+        finally:
+            store.close()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._directories)
+
+    def __len__(self) -> int:
+        return len(self._directories)
+
+
 def collect_histories(
     root: Union[str, pathlib.Path],
     sites: Iterable[int],
-) -> dict[int, list[dict[str, Any]]]:
-    """Load every site's commit history from its data directory.
+) -> Mapping[int, list[dict[str, Any]]]:
+    """Every site's commit history, loaded from its data directory.
 
     *root* is the cluster directory (``site-<n>`` subdirectories, as
-    :class:`~repro.service.cluster.LocalCluster` lays them out).
+    :class:`~repro.service.cluster.LocalCluster` lays them out); a
+    site without one is not in the mapping.  Each lookup replays that
+    site's snapshot + WAL afresh, so :func:`check_histories` holds one
+    history at a time.
 
     Raises:
-        WALCorruptionError: if any site's log is corrupt mid-file —
-            a finding in its own right, surfaced loudly.
+        WALCorruptionError: on lookup, if that site's log is corrupt
+            mid-file — a finding in its own right, surfaced loudly.
     """
-    sites = sorted(int(s) for s in sites)
-    histories: dict[int, list[dict[str, Any]]] = {}
-    for site in sites:
-        directory = pathlib.Path(root) / f"site-{site}"
-        if not directory.exists():
-            continue
-        store = DurableReplica.open(directory, site, sites, fsync="never")
-        try:
-            histories[site] = list(store.history)
-        finally:
-            store.close()
-    return histories
+    return _SiteHistories(pathlib.Path(root),
+                          sorted(int(s) for s in sites))
 
 
 def check_histories(

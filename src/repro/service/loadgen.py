@@ -175,15 +175,16 @@ class _Worker:
 
     def run(self) -> None:
         """The thread body: operations until the stop event."""
-        while not self.stop.is_set():
-            key = self.rng.choice(self.keys)
-            if self.rng.random() < self.spec.write_ratio:
-                self._put(key)
-            else:
-                self._get(key)
-            if self.spec.think_s > 0:
-                pause = self.rng.expovariate(1.0 / self.spec.think_s)
-                self.stop.wait(min(pause, 0.25))
+        with self.client:
+            while not self.stop.is_set():
+                key = self.rng.choice(self.keys)
+                if self.rng.random() < self.spec.write_ratio:
+                    self._put(key)
+                else:
+                    self._get(key)
+                if self.spec.think_s > 0:
+                    pause = self.rng.expovariate(1.0 / self.spec.think_s)
+                    self.stop.wait(min(pause, 0.25))
 
     # ------------------------------------------------------------------
     def _record(self, result: Any, key: str) -> None:

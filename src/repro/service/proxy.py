@@ -172,6 +172,8 @@ class ChaosProxy:
         self.dropped = 0
         self.delayed = 0
         self._servers: dict[int, asyncio.base_events.Server] = {}
+        self._relays: dict[asyncio.Task,
+                           list[asyncio.StreamWriter]] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -182,9 +184,18 @@ class ChaosProxy:
             )
 
     async def stop(self) -> None:
-        """Close all listeners."""
+        """Close all listeners and end every live relay."""
         for server in self._servers.values():
             server.close()
+        # Before wait_closed(), which on Python >= 3.12 waits for them.
+        # Hung up on, a relay ends by itself (cancelling its task would
+        # make the stream server of Python <= 3.11 log the cancellation).
+        for writers in self._relays.values():
+            for writer in writers:
+                writer.close()
+        if self._relays:
+            await asyncio.wait(list(self._relays))
+        for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
 
@@ -242,25 +253,30 @@ class ChaosProxy:
         down_writer: asyncio.StreamWriter,
     ) -> None:
         _, upstream_port = self.routes[site]
+        relay = asyncio.current_task()
+        writers = self._relays[relay] = [down_writer]
+        pumps: list[asyncio.Task] = []
         try:
             up_reader, up_writer = await asyncio.open_connection(
                 self.host, upstream_port)
+            writers.append(up_writer)
+            identity: dict[str, Optional[int]] = {"src": None}
+            pumps = [
+                asyncio.create_task(self._pump(
+                    down_reader, up_writer, identity, site, inbound=True)),
+                asyncio.create_task(self._pump(
+                    up_reader, down_writer, identity, site, inbound=False)),
+            ]
+            await asyncio.wait(pumps, return_when=asyncio.FIRST_COMPLETED)
         except OSError:
-            down_writer.close()
-            return
-        identity: dict[str, Optional[int]] = {"src": None}
-        inbound = asyncio.create_task(self._pump(
-            down_reader, up_writer, identity, site, inbound=True))
-        outbound = asyncio.create_task(self._pump(
-            up_reader, down_writer, identity, site, inbound=False))
-        try:
-            await asyncio.wait({inbound, outbound},
-                               return_when=asyncio.FIRST_COMPLETED)
+            pass  # upstream is away: hang up on the caller
         finally:
-            for task in (inbound, outbound):
-                task.cancel()
-            for writer in (up_writer, down_writer):
+            for pump in pumps:
+                pump.cancel()
+            await asyncio.gather(*pumps, return_exceptions=True)
+            for writer in writers:
                 writer.close()
+            del self._relays[relay]  # last: stop() waits for the above
 
     async def _pump(
         self,

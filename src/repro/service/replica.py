@@ -134,7 +134,19 @@ class ReplicaConfig:
 
 
 class ReplicaServer:
-    """One live replica: TCP frame server + coordinator + RECOVER loop."""
+    """One live replica: TCP frame server + coordinator + RECOVER loop.
+
+    Connection rules: an accepted connection serves frames until its
+    peer closes it, and this replica keeps one link per peer site,
+    carrying one request at a time — taken out of the table while a
+    request is in flight, put back only after a complete reply (rounds
+    are serialised by the coordinator lock, so no two requests want
+    one link).  A time-out or torn frame closes the link and counts
+    the peer as silent this round; only an EOF or reset on a *reused*
+    link — the peer restarted since it was last used — is redialled
+    once first.  :meth:`stop` closes every accepted connection and
+    every kept link, so a stopped replica is silent.
+    """
 
     def __init__(self, config: ReplicaConfig):
         self.config = config
@@ -148,6 +160,9 @@ class ReplicaServer:
         self._sampler = ResourceSampler(min_interval=0.5)
         self._server: Optional[asyncio.base_events.Server] = None
         self._recover_task: Optional[asyncio.Task] = None
+        self._accepted: set[asyncio.StreamWriter] = set()
+        self._links: dict[int, tuple[asyncio.StreamReader,
+                                     asyncio.StreamWriter]] = {}
         self._coord_lock = asyncio.Lock()
         self._lease_holder: Optional[int] = None
         self._lease_expires = 0.0
@@ -208,8 +223,15 @@ class ReplicaServer:
             except Exception:
                 pass
             self._recover_task = None
+        for _, writer in self._links.values():
+            writer.close()
+        self._links.clear()
         if self._server is not None:
             self._server.close()
+            # Before wait_closed(), which on Python >= 3.12 waits for
+            # the accepted connections.
+            for writer in list(self._accepted):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         if self.recorder is not None:
@@ -233,6 +255,8 @@ class ReplicaServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
     ) -> None:
+        self._accepted.add(writer)
+        self._count("connections.accepted")
         try:
             while True:
                 try:
@@ -251,6 +275,7 @@ class ReplicaServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            self._accepted.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -305,7 +330,7 @@ class ReplicaServer:
             if kind == "release":
                 return self._on_release(message)
             if kind == "fetch":
-                return self._on_fetch()
+                return self._on_fetch(message)
             if kind == "info":
                 return self._on_info()
             if kind == "metrics?":
@@ -390,15 +415,19 @@ class ReplicaServer:
         self._drop_lease(int(message.get("from", 0)))
         return {"kind": "ok", "site": self.site_id}
 
-    def _on_fetch(self) -> dict[str, Any]:
+    def _on_fetch(self, message: Mapping[str, Any]) -> dict[str, Any]:
         assert self.store is not None
-        return {
+        reply = {
             "kind": "data",
             "site": self.site_id,
             "state": self.store.state.to_dict(),
             "data": dict(self.store.data),
-            "history": [dict(entry) for entry in self.store.history],
         }
+        if message.get("history"):
+            # Only the orphan rollback adopts a history; it grows with
+            # the cluster's age, so nobody else is sent it.
+            reply["history"] = self.store.history
+        return reply
 
     def _on_info(self) -> dict[str, Any]:
         assert self.store is not None
@@ -477,33 +506,52 @@ class ReplicaServer:
         address = self.config.peers.get(site)
         if address is None:
             return None
-        host, port = address
-        writer = None
-        try:
-            connect = asyncio.open_connection(host, port)
-            reader, writer = await asyncio.wait_for(
-                connect, self.config.peer_timeout)
-            writer.write(encode_frame(message))
-            await writer.drain()
-            reply = await asyncio.wait_for(
-                read_frame(reader), self.config.peer_timeout)
-            return reply
-        except (OSError, asyncio.TimeoutError, FrameError):
-            return None
-        finally:
-            if writer is not None:
-                writer.close()
+        link = self._links.pop(site, None)
+        reused = link is not None
+        while True:
+            reply = None
+            try:
+                if link is None:
+                    link = await asyncio.wait_for(
+                        asyncio.open_connection(*address),
+                        self.config.peer_timeout)
+                    self._count("connections.dialled")
+                reader, writer = link
+                writer.write(encode_frame(message))
+                await writer.drain()
+                reply = await asyncio.wait_for(
+                    read_frame(reader), self.config.peer_timeout)
+            except ConnectionError:
+                if not reused:
+                    return None
+            except (OSError, asyncio.TimeoutError, FrameError):
+                return None
+            finally:
+                if reply is None and link is not None:
+                    link[1].close()
+            if reply is not None:
+                self._links[site] = link
+                return reply
+            if not reused:
+                return None
+            # EOF or reset on a link that carried a reply before: the
+            # peer restarted since.  Dial it again, once.
+            link, reused = None, False
 
     async def _broadcast(
         self, sites: frozenset[int], message: dict[str, Any],
         parent: Optional[Span] = None,
     ) -> dict[int, Optional[dict[str, Any]]]:
-        ordered = sorted(sites)
-        replies = await asyncio.gather(
+        # Remote exchanges start first: this site's own handler runs
+        # inline, and its WAL append + fsync should overlap the peers'
+        # instead of preceding their sends.
+        ordered = sorted(sites, key=lambda site: (site == self.site_id,
+                                                  site))
+        replies = dict(zip(ordered, await asyncio.gather(
             *(self._call_peer(site, dict(message), parent)
               for site in ordered)
-        )
-        return dict(zip(ordered, replies))
+        )))
+        return {site: replies[site] for site in sorted(sites)}
 
     # ------------------------------------------------------------------
     # coordinator
@@ -876,7 +924,8 @@ class ReplicaServer:
             if 2 * len(holders & members) <= len(members):
                 continue  # not provably majority-committed: stay put
             source = min(holders & members)
-            fetched = await self._call_peer(source, {"kind": "fetch"})
+            fetched = await self._call_peer(
+                source, {"kind": "fetch", "history": True})
             if fetched is None or fetched.get("kind") != "data":
                 return False
             self.store.install_remote(

@@ -141,7 +141,8 @@ class DurableReplica:
         try:
             self.state = ReplicaState.from_dict(snapshot["state"])
             self.data = dict(snapshot["data"])
-            self.history = [dict(entry) for entry in snapshot["history"]]
+            # Freshly parsed and owned: no per-entry copy.
+            self.history = list(snapshot["history"])
             self.applied_index = int(snapshot["applied_index"])
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise WALCorruptionError(

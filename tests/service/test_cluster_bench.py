@@ -14,8 +14,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.dtrace import build_traces, causal_violations, text_waterfall
 from repro.obs.registry import RunRegistry
+from repro.service import cluster as cluster_module
 from repro.service.bench import BenchOptions, run_bench
-from repro.service.cluster import load_control, parse_segments
+from repro.service.cluster import (
+    ClusterSpec,
+    LocalCluster,
+    free_port,
+    free_ports,
+    load_control,
+    parse_segments,
+)
 
 
 class TestParseSegments:
@@ -30,6 +38,41 @@ class TestParseSegments:
     def test_bad_token_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_segments("1,x/3")
+
+
+class TestFreePorts:
+    def test_ports_of_one_call_are_distinct(self):
+        ports = free_ports(64)
+        assert len(set(ports)) == 64
+        assert all(0 < port < 65536 for port in ports)
+        assert isinstance(free_port(), int)
+
+    def test_cluster_takes_every_port_from_one_call(self, tmp_path,
+                                                    monkeypatch):
+        """Replica and proxy ports come from probes held open together,
+        so no two listeners of a cluster can be handed the same port."""
+        calls = []
+
+        def counting(count, host="127.0.0.1"):
+            calls.append(count)
+            return free_ports(count, host)
+
+        monkeypatch.setattr(cluster_module, "free_ports", counting)
+        monkeypatch.setattr(LocalCluster, "_spawn", lambda self, site: None)
+        monkeypatch.setattr(LocalCluster, "wait_ready",
+                            lambda self, timeout=20.0: None)
+        cluster = LocalCluster(ClusterSpec(directory=str(tmp_path),
+                                           replicas=3, proxy=True))
+        try:
+            cluster.start()
+            assert calls == [6]
+            ports = [*cluster.replica_ports.values(),
+                     *cluster.proxy_ports.values()]
+            assert len(set(ports)) == 6
+            assert sorted(cluster.replica_ports) == [1, 2, 3]
+            assert sorted(cluster.proxy_ports) == [1, 2, 3]
+        finally:
+            cluster.stop()
 
 
 class TestBenchOptions:
@@ -65,7 +108,8 @@ class TestBenchEndToEnd:
         assert document["version"] == 2
         assert document["seed"] == 11
         assert document["replicas"] == 3
-        assert document["ok"] is True
+        assert document["ok"] is True, document["failed_gates"]
+        assert document["failed_gates"] == []
         totals = document["totals"]
         assert totals["violations"] == 0
         assert totals["kills"] >= 1
@@ -74,7 +118,8 @@ class TestBenchEndToEnd:
 
         policy_doc = document["policies"]["ODV"]
         assert policy_doc["policy"] == "ODV"
-        assert policy_doc["ok"] is True
+        assert policy_doc["ok"] is True, policy_doc["failed_gates"]
+        assert policy_doc["failed_gates"] == []
         assert policy_doc["violations"] == []
         assert policy_doc["recovered"] is True
         # Every killed site came back with a verified recovery marker.
@@ -167,7 +212,8 @@ class TestBenchEndToEnd:
             scrape_interval=0.4,
         )
         document, samples, traces = run_bench(options)
-        assert document["ok"] is True
+        assert document["ok"] is True, \
+            document["policies"]["ODV"]["failed_gates"]
         assert document["scrape_interval"] == 0.4
         assert document["tsdb"]
 

@@ -1,5 +1,7 @@
 """Unit tests for the offline history safety checks."""
 
+import pytest
+
 from repro.service.invariants import check_histories, collect_histories
 from repro.service.store import DurableReplica
 
@@ -65,3 +67,25 @@ class TestCollectHistories:
         assert sorted(histories) == [1, 2]  # site 3 never ran: skipped
         assert check_histories(histories) == []
         assert histories[1][0]["operation"] == 1
+
+    def test_one_site_at_a_time_with_a_site_missing(self, tmp_path):
+        """The mapping the bench sweeps: ``len()``, ``items()`` and a
+        lookup per site, each replayed from disk when asked."""
+        for site, commits in ((1, 2), (3, 1)):
+            store = DurableReplica.open(
+                tmp_path / f"site-{site}", site, SITES, fsync="never")
+            for n in range(1, commits + 1):
+                store.commit(store.make_entry(
+                    "write", n, n, SITES, writes={"k": n}, coordinator=1))
+            store.close()
+        histories = collect_histories(tmp_path, SITES)
+        assert len(histories) == 2
+        assert 2 not in histories
+        with pytest.raises(KeyError):
+            histories[2]
+        assert {str(site): len(history)
+                for site, history in sorted(histories.items())} \
+            == {"1": 2, "3": 1}
+        assert histories[1] == histories[1]
+        assert histories[1] is not histories[1]  # read on access
+        assert check_histories(histories) == []

@@ -1,5 +1,6 @@
 """Load-generator tests: spec validation, accounting, and a live run."""
 
+import asyncio
 import threading
 
 import pytest
@@ -99,6 +100,15 @@ class TestRunLoad:
                             timeout=1.0, trace=True)
             addresses = [(HOST, ports[site]) for site in sites]
             result = run_load(addresses, spec)
+
+            async def accepted():
+                await asyncio.sleep(0.1)  # let the EOFs be read
+                return [len(server._accepted)
+                        for server in servers.values()]
+
+            # The workers closed their clients: what is still open is
+            # the two peers' kept links.
+            assert max(runtime.submit(accepted()).result(5.0)) <= 2
         finally:
             for server in servers.values():
                 try:

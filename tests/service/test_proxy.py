@@ -54,13 +54,16 @@ class TestProxyWire:
     @staticmethod
     async def _echo_server():
         async def handle(reader, writer):
-            while True:
-                message = await read_frame(reader)
-                if message is None:
-                    break
-                writer.write(encode_frame({"kind": "echo", "got": message}))
-                await writer.drain()
-            writer.close()
+            try:
+                while True:
+                    message = await read_frame(reader)
+                    if message is None:
+                        break
+                    writer.write(encode_frame({"kind": "echo",
+                                               "got": message}))
+                    await writer.drain()
+            finally:
+                writer.close()
         server = await asyncio.start_server(handle, "127.0.0.1", 0)
         return server, server.sockets[0].getsockname()[1]
 
@@ -100,6 +103,99 @@ class TestProxyWire:
                 assert reply["kind"] == "echo"
             finally:
                 await proxy.stop()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_kept_link_through_a_partition(self, tmp_path):
+        """A frame the partition swallows on a kept link costs one
+        time-out; the link is dialled again after the heal."""
+        from repro.service.replica import ReplicaConfig, ReplicaServer
+
+        async def scenario():
+            server, upstream_port = await self._echo_server()
+            proxy = ChaosProxy("127.0.0.1", {2: (0, upstream_port)})
+            await proxy.start()
+            replica = ReplicaServer(ReplicaConfig(
+                site_id=1, host="127.0.0.1", port=0,
+                data_dir=str(tmp_path),
+                peers={2: ("127.0.0.1", proxy.listen_port(2))},
+                peer_timeout=0.3))
+            loop = asyncio.get_running_loop()
+            try:
+                for _ in range(2):
+                    reply = await replica._call_peer(2, {"kind": "ping"})
+                    assert reply["got"] == {"kind": "ping", "from": 1}
+                assert replica.counters["connections.dialled"] == 1
+
+                proxy.rules.set_partition([(1,), (2,)])
+                start = loop.time()
+                assert await replica._call_peer(2, {"kind": "ping"}) is None
+                assert 0.3 <= loop.time() - start < 0.6
+                assert proxy.dropped == 1
+                assert replica._links == {}
+
+                proxy.rules.heal()
+                reply = await replica._call_peer(2, {"kind": "ping"})
+                assert reply["kind"] == "echo"
+                assert replica.counters["connections.dialled"] == 2
+            finally:
+                await replica.stop()
+                await proxy.stop()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_source_is_read_from_every_frame(self):
+        """One connection, two senders: the verdict follows each
+        frame's own ``from``, not the first frame's."""
+        async def scenario():
+            server, upstream_port = await self._echo_server()
+            proxy = ChaosProxy("127.0.0.1", {2: (0, upstream_port)})
+            await proxy.start()
+            proxy.rules.set_partition([(1,), (2, 3)])
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", proxy.listen_port(2))
+            try:
+                async def ask(sender):
+                    writer.write(encode_frame({"kind": "ping",
+                                               "from": sender}))
+                    await writer.drain()
+                    return await asyncio.wait_for(read_frame(reader), 0.3)
+
+                assert (await ask(3))["got"]["from"] == 3
+                with pytest.raises(asyncio.TimeoutError):
+                    await ask(1)
+                assert (await ask(3))["got"]["from"] == 3
+                assert proxy.dropped == 1
+            finally:
+                writer.close()
+                await proxy.stop()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_stop_closes_live_relays(self):
+        async def scenario():
+            server, upstream_port = await self._echo_server()
+            proxy = ChaosProxy("127.0.0.1", {2: (0, upstream_port)})
+            await proxy.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", proxy.listen_port(2))
+            try:
+                writer.write(encode_frame({"kind": "ping"}))
+                await writer.drain()
+                assert (await read_frame(reader))["kind"] == "echo"
+                await asyncio.wait_for(proxy.stop(), 2.0)
+                # The idle relay went with the listeners.
+                assert await asyncio.wait_for(read_frame(reader),
+                                              2.0) is None
+                assert not proxy._relays
+            finally:
+                writer.close()
                 server.close()
                 await server.wait_closed()
 

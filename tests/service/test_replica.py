@@ -9,7 +9,9 @@ import asyncio
 import json
 import random
 
-from repro.service.client import ServiceClient
+import pytest
+
+from repro.service.client import ServiceClient, _Retryable
 from repro.service.cluster import free_port
 from repro.service.frames import encode_frame, read_frame
 from repro.service.replica import RECOVERY_MARKER, ReplicaConfig, ReplicaServer
@@ -84,9 +86,10 @@ class TestClientOperations:
                     rng=random.Random(0))
 
                 def drive():
-                    for i in range(len(client.addresses) + 1):
-                        assert client.put("k", i).ok
-                    return client.ping()
+                    with client:
+                        for i in range(len(client.addresses) + 1):
+                            assert client.put("k", i).ok
+                        return client.ping()
 
                 assert await asyncio.to_thread(drive) is True
             finally:
@@ -246,7 +249,7 @@ class TestOrphanRollback:
                    for site in (2, 3)}
 
         async def fake_call(site, message):
-            assert message["kind"] == "fetch"
+            assert message == {"kind": "fetch", "history": True}
             return {
                 "kind": "data", "site": site,
                 "state": donor.store.state.to_dict(),
@@ -289,6 +292,189 @@ class TestOrphanRollback:
         holder._call_peer = fail_fetch
         assert asyncio.run(holder._maybe_rollback(replies)) is False
         assert holder.store.data == {"k": "orphan"}
+
+
+def _dialled(servers):
+    return sum(server.counters.get("connections.dialled", 0)
+               for server in servers.values())
+
+
+def _accepted(servers):
+    return sum(server.counters.get("connections.accepted", 0)
+               for server in servers.values())
+
+
+async def _slow_first_peer(delay):
+    """A peer that answers nonce 1 only after *delay*, the rest at once
+    — each reply echoes the nonce of the request it answers."""
+    async def handle(reader, writer):
+        try:
+            while True:
+                message = await read_frame(reader)
+                if message is None:
+                    break
+                if message["nonce"] == 1:
+                    await asyncio.sleep(delay)
+                writer.write(encode_frame({"kind": "pong",
+                                           "nonce": message["nonce"]}))
+                await writer.drain()
+        finally:
+            writer.close()
+    server = await asyncio.start_server(handle, HOST, 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+class TestKeptConnections:
+    """One kept connection per client->replica and replica->peer pair."""
+
+    def test_fifty_operations_dial_each_pair_once(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                def drive():
+                    with ServiceClient(
+                            [(HOST, port) for port in ports.values()],
+                            rng=random.Random(0)) as client:
+                        for i in range(50):
+                            op = client.put("k", i) if i % 2 \
+                                else client.get("k")
+                            assert op.ok and op.attempts == 1
+                        assert len(client._sockets) == 3
+                    assert client._sockets == {}
+
+                await asyncio.to_thread(drive)
+                # Counted, not timed: 3 sites x 2 peers, 1 client x 3.
+                assert _dialled(servers) <= 6
+                assert _accepted(servers) - _dialled(servers) <= 3
+                info = await _ask(ports[1], {"kind": "info"})
+                assert info["counters"]["connections.accepted"] >= 1
+                assert info["counters"]["connections.dialled"] == 2
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+    def test_a_timed_out_connection_is_never_reused(self, tmp_path):
+        """A late reply must not be read as the next request's answer."""
+        async def scenario():
+            peer, port = await _slow_first_peer(0.5)
+            replica = ReplicaServer(ReplicaConfig(
+                site_id=1, host=HOST, port=0, data_dir=str(tmp_path),
+                peers={2: (HOST, port)}, peer_timeout=0.2))
+            client = ServiceClient([(HOST, port)], timeout=0.2)
+            try:
+                assert await replica._send_peer(
+                    2, {"kind": "ping", "nonce": 1}) is None
+                assert replica._links == {}
+                reply = await replica._send_peer(
+                    2, {"kind": "ping", "nonce": 2})
+                assert reply["nonce"] == 2
+                assert replica.counters["connections.dialled"] == 2
+
+                def drive():
+                    with pytest.raises(_Retryable):
+                        client._request((HOST, port),
+                                        {"kind": "ping", "nonce": 1})
+                    assert client._sockets == {}
+                    return client._request((HOST, port),
+                                           {"kind": "ping", "nonce": 2})
+
+                assert (await asyncio.to_thread(drive))["nonce"] == 2
+            finally:
+                client.close()
+                await replica.stop()
+                peer.close()
+                await peer.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_restarted_replica_is_redialled_once(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            client = ServiceClient([(HOST, ports[2])],
+                                   rng=random.Random(0))
+            try:
+                assert (await asyncio.to_thread(client.put, "k", 1)).ok
+                reply = await _ask(ports[1],
+                                   {"kind": "put", "key": "k", "value": 2})
+                assert reply["ok"] is True
+                # Site 2 restarts: the client's socket and site 1's
+                # link to it are both stale now.
+                await servers[2].stop()
+                servers[2] = ReplicaServer(servers[2].config)
+                await servers[2].start()
+                before = servers[1].counters["connections.dialled"]
+                reply = await _ask(ports[1],
+                                   {"kind": "put", "key": "k", "value": 3})
+                assert reply["ok"] is True
+                assert servers[1].counters["connections.dialled"] \
+                    == before + 1
+                # Site 2 answered the round: P did not shrink.
+                info = await _ask(ports[1], {"kind": "info"})
+                assert info["partition_set"] == [1, 2, 3]
+                result = await asyncio.to_thread(client.put, "k", 4)
+                assert result.ok and result.attempts == 1
+                # A refused fresh dial is still a failure, reused
+                # socket or not.
+                await servers[2].stop()
+                assert await servers[1]._send_peer(
+                    2, {"kind": "ping"}) is None
+                assert await servers[1]._send_peer(
+                    2, {"kind": "ping"}) is None
+                result = await asyncio.to_thread(client.put, "k", 5)
+                assert result.outcome == "unavailable"
+                assert client._sockets == {}
+            finally:
+                client.close()
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+    def test_a_stopped_replica_is_silent(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                # A round coordinated by every site: idle kept links in
+                # each direction between site 2 and the others.
+                for site in (1, 2, 3):
+                    reply = await _ask(ports[site], {
+                        "kind": "put", "key": "k", "value": site})
+                    assert reply["ok"] is True
+                assert sorted(servers[2]._links) == [1, 3]
+                assert 2 in servers[1]._links
+                await asyncio.wait_for(servers[2].stop(), 2.0)
+                assert servers[2]._links == {}
+                await asyncio.sleep(0.05)
+                assert not servers[2]._accepted
+                reply = await _ask(ports[1],
+                                   {"kind": "put", "key": "k", "value": 9})
+                assert reply["ok"] is True
+                info = await _ask(ports[1], {"kind": "info"})
+                assert info["partition_set"] == [1, 3]
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+    def test_fetch_carries_history_only_when_asked(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                await _ask(ports[1], {"kind": "put", "key": "k", "value": 1})
+                bare = await _ask(ports[2], {"kind": "fetch"})
+                assert bare["kind"] == "data"
+                assert bare["data"] == {"k": 1}
+                assert bare["state"] == servers[2].store.state.to_dict()
+                assert "history" not in bare
+                full = await _ask(ports[2],
+                                  {"kind": "fetch", "history": True})
+                assert {key: full[key] for key in bare} == bare
+                assert full["history"] == servers[2].store.history
+                assert len(full["history"]) == 1
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
 
 
 class TestTracing:
