@@ -366,7 +366,7 @@ def _run_policy(
         "recovered": recovered,
         "violations": violations,
         "proxy": proxy_stats,
-        "commits": {str(site): len(history)
+        "commits": {str(site): sum(1 for _ in history)
                     for site, history in sorted(histories.items())},
     }
     if scraper is not None and engine is not None:

@@ -1,7 +1,7 @@
 """Offline safety checks over the replicas' durable commit histories.
 
 After a bench run the replica processes are gone; what remains is the
-ground truth — each site's WAL + snapshot.  These checks are the live
+ground truth — each site's history log, snapshot and WAL.  These checks are the live
 counterparts of the simulator's
 :class:`~repro.chaos.monitor.InvariantMonitor` records:
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Iterable, Iterator, Mapping, Union
 
-from repro.service.store import DurableReplica, commit_body
+from repro.service.store import commit_body, read_history
 
 __all__ = [
     "check_histories",
@@ -32,26 +32,21 @@ __all__ = [
 
 
 class _SiteHistories(Mapping):
-    """``{site: history}`` read from the data directories on access.
+    """``{site: history}`` streamed from the data directories on access.
 
-    A history grows with the cluster's age; holding one site's at a
-    time keeps the safety sweep's memory flat in the number of sites.
+    A history grows with the cluster's age; each lookup yields one
+    record at a time, so the safety sweep's memory is flat in both the
+    number of sites and their age.
     """
 
     def __init__(self, root: pathlib.Path, sites: list[int]):
-        self._sites = sites
         self._directories = {
             site: directory for site in sites
             if (directory := root / f"site-{site}").exists()
         }
 
-    def __getitem__(self, site: int) -> list[dict[str, Any]]:
-        store = DurableReplica.open(self._directories[site], site,
-                                    self._sites, fsync="never")
-        try:
-            return store.history
-        finally:
-            store.close()
+    def __getitem__(self, site: int) -> Iterator[dict[str, Any]]:
+        return read_history(self._directories[site])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._directories)
@@ -63,27 +58,31 @@ class _SiteHistories(Mapping):
 def collect_histories(
     root: Union[str, pathlib.Path],
     sites: Iterable[int],
-) -> Mapping[int, list[dict[str, Any]]]:
-    """Every site's commit history, loaded from its data directory.
+) -> Mapping[int, Iterator[dict[str, Any]]]:
+    """Every site's commit history, streamed from its data directory.
 
     *root* is the cluster directory (``site-<n>`` subdirectories, as
     :class:`~repro.service.cluster.LocalCluster` lays them out); a
-    site without one is not in the mapping.  Each lookup replays that
-    site's snapshot + WAL afresh, so :func:`check_histories` holds one
-    history at a time.
+    site without one is not in the mapping.  Each lookup returns a
+    fresh one-pass iterator over that site's history log and then its
+    WAL (:func:`~repro.service.store.read_history`), read-only.
 
     Raises:
-        WALCorruptionError: on lookup, if that site's log is corrupt
-            mid-file — a finding in its own right, surfaced loudly.
+        WALCorruptionError: while iterating, if that site's files are
+            corrupt mid-log — a finding in its own right, surfaced
+            loudly.
     """
-    return _SiteHistories(pathlib.Path(root),
-                          sorted(int(s) for s in sites))
+    return _SiteHistories(pathlib.Path(root), sorted(int(s) for s in sites))
 
 
 def check_histories(
-    histories: Mapping[int, list[Mapping[str, Any]]],
+    histories: Mapping[int, Iterable[Mapping[str, Any]]],
 ) -> list[dict[str, Any]]:
-    """Run every safety check; returns the violations (empty = safe)."""
+    """Run every safety check; returns the violations (empty = safe).
+
+    Each site's history is iterated once, so one-pass iterators (what
+    :func:`collect_histories` returns) are fine.
+    """
     violations: list[dict[str, Any]] = []
     bodies: dict[int, tuple] = {}
     body_owner: dict[int, int] = {}

@@ -6,6 +6,17 @@ the WAL *before* it is applied in memory (and long before it is acked
 over the wire), so a SIGKILL at any point leaves a state that replay
 reconstructs exactly.
 
+Three files hold a replica: ``wal.log`` (commits since the last
+compaction), ``snapshot.json`` (state and data only) and an
+append-only history log (every applied commit's history entry, in the
+WAL's record framing).  A compaction costs O(state + commits since the
+last one), never O(age): it appends the new history entries, then
+saves the snapshot naming how many history bytes it covers, then
+resets the WAL — so a crash between any two steps leaves either the
+old snapshot (the WAL still holds the entries; the history log's
+uncovered bytes are cut off on open) or the new one (the WAL entries
+it covers are skipped on replay).
+
 Determinism is the load-bearing property here: the canonical document
 (:meth:`DurableReplica.canonical_document`) of a replica recovered
 from snapshot + WAL must be byte-identical to one produced by a clean
@@ -17,21 +28,38 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError, ProtocolError, WALCorruptionError
 from repro.replica.state import ReplicaState
-from repro.service.wal import SnapshotStore, WriteAheadLog
+from repro.service.wal import (
+    SnapshotStore,
+    WriteAheadLog,
+    append_records,
+    read_records,
+)
 
 __all__ = [
     "DurableReplica",
     "commit_body",
+    "read_history",
     "writes_digest",
 ]
 
 _SNAPSHOT_FORMAT = "repro-service-snapshot"
-_SNAPSHOT_VERSION = 1
+#: Version 2 is state-only and names its history log; version 1
+#: carried the whole history inline and is still read (the next
+#: compaction rewrites it as version 2).
+_SNAPSHOT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+
+
+def _history_name(generation: int) -> str:
+    """The history log of one generation; :meth:`install_remote` starts
+    a new generation so replacing the history is crash-atomic."""
+    return "history.log" if generation == 0 else f"history.{generation}.log"
 
 
 def writes_digest(writes: Optional[Mapping[str, Any]]) -> Optional[str]:
@@ -43,6 +71,113 @@ def writes_digest(writes: Optional[Mapping[str, Any]]) -> Optional[str]:
     payload = json.dumps(writes, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _history_entry(entry: Mapping[str, Any], index: int,
+                   origin: Any) -> dict[str, Any]:
+    """The history record of WAL *entry* applied as commit *index*."""
+    try:
+        operation = int(entry["operation"])
+        version = int(entry["version"])
+        partition_set = sorted({int(s) for s in entry["partition_set"]})
+        kind = str(entry["kind"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WALCorruptionError(
+            f"malformed WAL entry in {origin}: {exc}"
+        ) from exc
+    # A repair re-delivery carries the original commit's digest
+    # explicitly (its payload is a full map install, not the write
+    # delta); first-hand commits derive it from the delta.
+    if "writes_digest" in entry:
+        digest = entry["writes_digest"]
+    else:
+        digest = writes_digest(entry.get("writes"))
+    return {
+        "index": index,
+        "kind": kind,
+        "operation": operation,
+        "version": version,
+        "partition_set": partition_set,
+        "writes_digest": digest,
+    }
+
+
+def _uncovered(entries: Iterable[Mapping[str, Any]], operation: int,
+               origin: Any) -> Iterator[Mapping[str, Any]]:
+    """The WAL *entries* a snapshot at *operation* does not hold yet.
+
+    A crash between the snapshot rename and the WAL reset leaves
+    entries the snapshot already covers; a replica only logs commits
+    :meth:`DurableReplica.accepts` (strictly newer), so those are
+    exactly the entries numbered ``<= operation``.
+    """
+    for entry in entries:
+        try:
+            newer = int(entry["operation"]) > operation
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WALCorruptionError(
+                f"malformed WAL entry in {origin}: {exc}"
+            ) from exc
+        if newer:
+            yield entry
+
+
+def _snapshot_fields(snapshot: Mapping[str, Any],
+                     origin: Any) -> tuple[int, int]:
+    """``(applied_index, operation)`` of a snapshot, validated."""
+    if snapshot.get("format") != _SNAPSHOT_FORMAT:
+        raise WALCorruptionError(f"{origin} is not a service snapshot")
+    if snapshot.get("version") not in _READABLE_VERSIONS:
+        raise WALCorruptionError(
+            f"unsupported snapshot version {snapshot.get('version')!r}"
+        )
+    try:
+        return (int(snapshot["applied_index"]),
+                int(snapshot["state"]["operation"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WALCorruptionError(
+            f"malformed snapshot {origin}: {exc}") from exc
+
+
+def _snapshot_history(directory: pathlib.Path,
+                      snapshot: Mapping[str, Any]) -> Iterable[Any]:
+    """The history a (validated) snapshot covers, streamed from its log
+    — or the inline list of a version-1 snapshot."""
+    try:
+        if snapshot["version"] == 1:
+            return snapshot["history"]
+        path = directory / _history_name(int(snapshot["history_generation"]))
+        return read_records(path, int(snapshot["history_bytes"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WALCorruptionError(
+            f"malformed snapshot in {directory}: {exc}") from exc
+
+
+def read_history(
+    directory: Union[str, pathlib.Path],
+) -> Iterator[dict[str, Any]]:
+    """Stream one replica's full commit history from its directory.
+
+    Yields the history the snapshot covers, then one entry per WAL
+    record it does not — the same sequence :meth:`DurableReplica.open`
+    would build as ``history``, but one record in memory at a time and
+    without touching the files (a torn WAL tail is ignored, not cut).
+
+    Raises:
+        WALCorruptionError: on a corrupt snapshot, history log or
+            mid-log WAL record.
+    """
+    directory = pathlib.Path(directory)
+    snapshots = SnapshotStore(directory)
+    snapshot = snapshots.load()
+    index = operation = 0
+    if snapshot is not None:
+        index, operation = _snapshot_fields(snapshot, snapshots.path)
+        yield from _snapshot_history(directory, snapshot)
+    wal = WriteAheadLog(directory)
+    for entry in _uncovered(wal.read().entries, operation, wal.path):
+        index += 1
+        yield _history_entry(entry, index, wal.path)
 
 
 def commit_body(entry: Mapping[str, Any]) -> tuple:
@@ -62,7 +197,8 @@ class DurableReplica:
     Use :meth:`open` to create-or-recover; then :meth:`commit` for
     every accepted COMMIT.  The in-memory members (``state``, ``data``,
     ``history``) are only ever mutated by applying WAL entries, which
-    is what makes recovery equal to a replay.
+    is what makes recovery equal to a replay.  ``history`` is the full
+    list; its first ``_logged`` entries are already in the history log.
     """
 
     def __init__(
@@ -96,6 +232,14 @@ class DurableReplica:
         self.history: list[dict[str, Any]] = []
         self.applied_index = 0
         self.torn_tail_bytes = 0
+        self._history_generation = 0
+        self._history_bytes = 0
+        self._logged = 0
+
+    @property
+    def history_path(self) -> pathlib.Path:
+        """The current generation's append-only history log."""
+        return self.directory / _history_name(self._history_generation)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -121,32 +265,51 @@ class DurableReplica:
                     fsync=fsync, compact_every=compact_every,
                     metrics=metrics)
         snapshot = store.snapshots.load()
+        covered = 0
         if snapshot is not None:
             store._install_snapshot(snapshot)
+            covered = store.state.operation
+        store._trim_history_logs()
         replay = store.wal.open()
         store.torn_tail_bytes = replay.torn_bytes
-        for entry in replay.entries:
+        for entry in _uncovered(replay.entries, covered, store.wal.path):
             store._apply(entry)
         return store
 
     def _install_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        if snapshot.get("format") != _SNAPSHOT_FORMAT:
-            raise WALCorruptionError(
-                f"{self.snapshots.path} is not a service snapshot"
-            )
-        if snapshot.get("version") != _SNAPSHOT_VERSION:
-            raise WALCorruptionError(
-                f"unsupported snapshot version {snapshot.get('version')!r}"
-            )
+        self.applied_index, _ = _snapshot_fields(snapshot,
+                                                 self.snapshots.path)
         try:
             self.state = ReplicaState.from_dict(snapshot["state"])
             self.data = dict(snapshot["data"])
-            # Freshly parsed and owned: no per-entry copy.
-            self.history = list(snapshot["history"])
-            self.applied_index = int(snapshot["applied_index"])
+            if snapshot["version"] > 1:
+                self._history_generation = int(
+                    snapshot["history_generation"])
+                self._history_bytes = int(snapshot["history_bytes"])
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise WALCorruptionError(
                 f"malformed snapshot {self.snapshots.path}: {exc}"
+            ) from exc
+        self.history = list(_snapshot_history(self.directory, snapshot))
+        # A version-1 history is not in any log yet: the next
+        # compaction appends all of it.
+        self._logged = len(self.history) if snapshot["version"] > 1 else 0
+
+    def _trim_history_logs(self) -> None:
+        """Cut the history log back to what the snapshot covers (an
+        append that crashed before its snapshot landed; the WAL still
+        holds those entries) and delete other generations' logs."""
+        current = self.history_path
+        try:
+            if current.exists() and \
+                    current.stat().st_size > self._history_bytes:
+                os.truncate(current, self._history_bytes)
+            for stale in self.directory.glob("history*.log"):
+                if stale != current:
+                    stale.unlink()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot trim history logs under {self.directory}: {exc}"
             ) from exc
 
     # ------------------------------------------------------------------
@@ -199,37 +362,16 @@ class DurableReplica:
 
     # ------------------------------------------------------------------
     def _apply(self, entry: Mapping[str, Any]) -> None:
-        try:
-            operation = int(entry["operation"])
-            version = int(entry["version"])
-            partition_set = frozenset(int(s)
-                                      for s in entry["partition_set"])
-            kind = str(entry["kind"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WALCorruptionError(
-                f"malformed WAL entry in {self.wal.path}: {exc}"
-            ) from exc
-        self.state.commit(operation, version, partition_set)
+        record = _history_entry(entry, self.applied_index + 1,
+                                self.wal.path)
+        self.state.commit(record["operation"], record["version"],
+                          frozenset(record["partition_set"]))
         if entry.get("data") is not None:
             self.data = dict(entry["data"])
         if entry.get("writes"):
             self.data.update(entry["writes"])
-        self.applied_index += 1
-        # A repair re-delivery carries the original commit's digest
-        # explicitly (its payload is a full map install, not the write
-        # delta); first-hand commits derive it from the delta.
-        if "writes_digest" in entry:
-            digest = entry["writes_digest"]
-        else:
-            digest = writes_digest(entry.get("writes"))
-        self.history.append({
-            "index": self.applied_index,
-            "kind": kind,
-            "operation": operation,
-            "version": version,
-            "partition_set": sorted(partition_set),
-            "writes_digest": digest,
-        })
+        self.applied_index = record["index"]
+        self.history.append(record)
 
     def install_remote(
         self,
@@ -244,7 +386,10 @@ class DurableReplica:
         majority-committed, the minority holder's tail never happened
         as far as the protocol is concerned: this replaces state, data
         and history wholesale and persists the result as a snapshot, so
-        the discarded tail also disappears from the WAL.
+        the discarded tail also disappears from the WAL.  The adopted
+        history goes to a new generation's log, fsynced before the
+        snapshot that names it, so a crash leaves the old or the new
+        history, never a mix.
 
         Raises:
             ConfigurationError: on a malformed peer state document.
@@ -265,18 +410,37 @@ class DurableReplica:
         self.data = dict(data)
         self.history = [dict(entry) for entry in history]
         self.applied_index = len(self.history)
-        self.compact()
+        retired = self.history_path
+        self._history_generation += 1
+        self._history_bytes = append_records(
+            self.history_path, self.history, truncate=True)
+        self._logged = len(self.history)
+        self._checkpoint()
+        retired.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     def compact(self) -> None:
-        """Snapshot the full state atomically, then reset the WAL."""
+        """Append the history applied since the last compaction (one
+        write, one fsync), save the state-only snapshot atomically,
+        then reset the WAL — in that order (see the module docstring
+        for why each crash point recovers)."""
+        if self._logged < len(self.history):
+            self._history_bytes = append_records(
+                self.history_path, self.history[self._logged:])
+            self._logged = len(self.history)
+        self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Save the snapshot over the logged history, then reset the
+        WAL it makes redundant."""
         self.snapshots.save({
             "format": _SNAPSHOT_FORMAT,
             "version": _SNAPSHOT_VERSION,
             "state": self.state.to_dict(),
             "data": self.data,
-            "history": self.history,
             "applied_index": self.applied_index,
+            "history_generation": self._history_generation,
+            "history_bytes": self._history_bytes,
         })
         self.wal.reset()
 

@@ -18,8 +18,10 @@ the disk lied, and recovery refuses to guess: it raises
 :class:`~repro.errors.WALCorruptionError`.
 
 Snapshots bound replay time: :meth:`SnapshotStore.save` writes the
-full state atomically (tmp + fsync + rename), after which the log is
+state atomically (tmp + fsync + rename), after which the log is
 truncated and replay starts from the snapshot instead of from genesis.
+The same record framing serves the store's append-only history log
+(:func:`append_records`, :func:`read_records`), so there is one codec.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import pathlib
 import struct
 import time as _time
 import zlib
-from typing import Any, Optional, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Optional, Union
 
 from repro.errors import ConfigurationError, WALCorruptionError
 
@@ -39,6 +41,8 @@ __all__ = [
     "ReplayResult",
     "SnapshotStore",
     "WriteAheadLog",
+    "append_records",
+    "read_records",
 ]
 
 #: Accepted fsync policies: ``"always"`` fsyncs after every append (an
@@ -74,28 +78,47 @@ class ReplayResult:
         self.torn_bytes = torn_bytes
 
 
-def _scan(data: bytes, origin: str) -> ReplayResult:
-    """Decode every complete record in *data*, tolerating a torn tail."""
-    entries: list[Any] = []
+def _encode_record(entry: Any) -> bytes:
+    """One framed record: ``[length][crc32][canonical JSON]``."""
+    payload = json.dumps(
+        entry, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    if len(payload) > MAX_RECORD_BYTES:
+        raise ConfigurationError(
+            f"WAL record of {len(payload)} bytes exceeds the "
+            f"{MAX_RECORD_BYTES}-byte limit"
+        )
+    return _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _records(handle: BinaryIO, size: int,
+             origin: str) -> Iterator[tuple[Any, int]]:
+    """Yield ``(entry, end offset)`` for every complete record in the
+    first *size* bytes of *handle*, one record in memory at a time.
+
+    Stops quietly at a torn final record; the caller compares the last
+    end offset with *size* to learn how many torn bytes there were.
+    """
     offset = 0
-    size = len(data)
-    while offset < size:
-        if offset + _RECORD.size > size:
-            break  # torn header at end-of-file
-        length, crc = _RECORD.unpack_from(data, offset)
+    while offset + _RECORD.size <= size:  # else: torn header at EOF
+        header = handle.read(_RECORD.size)
+        if len(header) < _RECORD.size:
+            return  # the file is shorter than *size*
+        length, crc = _RECORD.unpack(header)
         if length > MAX_RECORD_BYTES:
             raise WALCorruptionError(
                 f"{origin}: record at byte {offset} claims {length} bytes "
                 f"(limit {MAX_RECORD_BYTES}) — corrupt length prefix"
             )
-        start = offset + _RECORD.size
-        end = start + length
+        end = offset + _RECORD.size + length
         if end > size:
-            break  # torn payload at end-of-file
-        payload = data[start:end]
+            return  # torn payload at end-of-file
+        payload = handle.read(length)
+        if len(payload) < length:
+            return
         if zlib.crc32(payload) != crc:
             if end == size:
-                break  # torn final record: length landed, payload did not
+                return  # torn final record: length landed, payload did not
             raise WALCorruptionError(
                 f"{origin}: CRC mismatch at byte {offset} with "
                 f"{size - end} bytes following — mid-log corruption"
@@ -109,9 +132,70 @@ def _scan(data: bytes, origin: str) -> ReplayResult:
             raise WALCorruptionError(
                 f"{origin}: undecodable record at byte {offset}: {exc}"
             ) from exc
-        entries.append(entry)
+        yield entry, end
         offset = end
-    return ReplayResult(entries, offset, size - offset)
+
+
+def _scan(path: pathlib.Path) -> ReplayResult:
+    """Decode every complete record of the log at *path* (read-only),
+    tolerating a torn tail; a missing file is an empty log."""
+    if not path.exists():
+        return ReplayResult([], 0, 0)
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        entries: list[Any] = []
+        consumed = 0
+        for entry, consumed in _records(handle, size, str(path)):
+            entries.append(entry)
+    return ReplayResult(entries, consumed, size - consumed)
+
+
+def append_records(path: pathlib.Path, entries: Iterable[Any],
+                   truncate: bool = False) -> int:
+    """Append *entries* to the record log at *path* with one write and
+    one fsync (or replace its contents, with *truncate*); returns the
+    file's size afterwards.
+
+    Raises:
+        ConfigurationError: when the file cannot be written.
+    """
+    blob = b"".join(_encode_record(entry) for entry in entries)
+    try:
+        with open(path, "wb" if truncate else "ab") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+            return handle.tell()
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot append to record log {path}: {exc}"
+        ) from exc
+
+
+def read_records(path: pathlib.Path, size: int) -> Iterator[Any]:
+    """Stream the records in the first *size* bytes of *path*, one at a
+    time; bytes past *size* are ignored.
+
+    The caller vouches that those *size* bytes were fsynced whole, so a
+    short file or a torn record inside them is corruption, not a crash.
+
+    Raises:
+        WALCorruptionError: when the records do not fill *size* bytes.
+    """
+    if size == 0:
+        return
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise WALCorruptionError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        consumed = 0
+        for entry, consumed in _records(handle, size, str(path)):
+            yield entry
+    if consumed != size:
+        raise WALCorruptionError(
+            f"{path}: records end at byte {consumed}, expected {size}"
+        )
 
 
 class WriteAheadLog:
@@ -156,12 +240,11 @@ class WriteAheadLog:
         """
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            data = self.path.read_bytes() if self.path.exists() else b""
+            result = _scan(self.path)
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot open WAL under {self.directory}: {exc}"
             ) from exc
-        result = _scan(data, str(self.path))
         try:
             handle = open(self.path, "ab")
             if result.torn_bytes:
@@ -178,15 +261,7 @@ class WriteAheadLog:
         ``"always"``)."""
         if self._handle is None:
             raise ConfigurationError("WAL is not open")
-        payload = json.dumps(
-            entry, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        if len(payload) > MAX_RECORD_BYTES:
-            raise ConfigurationError(
-                f"WAL record of {len(payload)} bytes exceeds the "
-                f"{MAX_RECORD_BYTES}-byte limit"
-            )
-        record = _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
+        record = _encode_record(entry)
         try:
             start = _time.perf_counter()
             self._handle.write(record)
@@ -206,6 +281,11 @@ class WriteAheadLog:
                     _time.perf_counter() - flushed)
             self.metrics.counter("wal.records").inc()
             self.metrics.counter("wal.bytes").inc(len(record))
+
+    def read(self) -> ReplayResult:
+        """The log's complete records, read without opening it for
+        appending or truncating a torn tail (offline inspection)."""
+        return _scan(self.path)
 
     def sync(self) -> None:
         """Force buffered records to disk regardless of policy."""
@@ -243,7 +323,7 @@ class WriteAheadLog:
 
 
 class SnapshotStore:
-    """Atomic full-state snapshots next to the WAL.
+    """Atomic state snapshots next to the WAL.
 
     The write path is tmp + fsync + rename, so a crash mid-snapshot
     leaves the previous snapshot intact; a reader never sees a torn
@@ -264,11 +344,14 @@ class SnapshotStore:
         """Atomically replace the snapshot with *document*."""
         tmp = self.path.with_suffix(".json.tmp")
         start = _time.perf_counter()
+        # json.dumps runs the C encoder; json.dump to a handle would
+        # take the pure-Python iterencode path for the same bytes.
+        payload = json.dumps(document, sort_keys=True,
+                             separators=(",", ":")).encode("ascii")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as handle:
-                json.dump(document, handle, sort_keys=True,
-                          separators=(",", ":"))
+            with open(tmp, "wb") as handle:
+                handle.write(payload)
                 handle.flush()
                 os.fsync(handle.fileno())
             tmp.replace(self.path)

@@ -8,15 +8,26 @@ byte-identical to a clean replay of the same commits.
 
 import pytest
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, WALCorruptionError
 from repro.service.store import DurableReplica, commit_body, writes_digest
 
 SITES = (1, 2, 3)
+_OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def _close_opened_stores():
+    """Close every store a test opened through :func:`_open`."""
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
 
 
 def _open(directory, site=1, **kwargs):
     kwargs.setdefault("fsync", "never")
-    return DurableReplica.open(directory, site, SITES, **kwargs)
+    store = DurableReplica.open(directory, site, SITES, **kwargs)
+    _OPENED.append(store)
+    return store
 
 
 def _write_entry(store, operation, value):
@@ -179,3 +190,214 @@ class TestInstallRemote:
         store = _open(tmp_path / "s1")
         with pytest.raises(ConfigurationError):
             store.install_remote({"operation": "nope"}, {}, [])
+
+
+# ----------------------------------------------------------------------
+# Compaction layout: append-only history log + state-only snapshot
+# ----------------------------------------------------------------------
+class _Crash(Exception):
+    """Stands in for a SIGKILL at one step of a multi-step write."""
+
+
+def _entries(count, start=1):
+    maker = DurableReplica("unused", 1, SITES)
+    return [_write_entry(maker, k, f"v{k}") for k in range(start, start + count)]
+
+
+def _same_as(store, reference):
+    assert store.canonical_document() == reference.canonical_document()
+    assert store.applied_index == reference.applied_index
+    assert store.history == reference.history
+
+
+def _write_v1_snapshot(store):
+    """Compact *store* the way the inline-history layout did."""
+    store.snapshots.save({
+        "format": "repro-service-snapshot",
+        "version": 1,
+        "state": store.state.to_dict(),
+        "data": store.data,
+        "history": store.history,
+        "applied_index": store.applied_index,
+    })
+    store.wal.reset()
+
+
+class TestHistoryLog:
+    def test_snapshot_is_state_only_and_history_is_appended(self, tmp_path):
+        store = _open(tmp_path / "s1", compact_every=4)
+        for entry in _entries(8):
+            store.commit(entry)
+        snapshot = store.snapshots.load()
+        assert snapshot["version"] == 2
+        assert "history" not in snapshot
+        assert snapshot["history_bytes"] == store.history_path.stat().st_size
+        assert store.history_path.name == "history.log"
+        store.close()
+        reopened = _open(tmp_path / "s1")
+        _same_as(reopened, _clean_replay(tmp_path / "clean", _entries(8)))
+
+    @pytest.mark.parametrize("compact_every", [1, 2, 64, 10 ** 9])
+    def test_compaction_period_never_changes_the_result(self, tmp_path,
+                                                        compact_every):
+        entries = _entries(130)
+        store = _open(tmp_path / "s1", compact_every=compact_every)
+        for entry in entries:
+            store.commit(entry)
+        clean = _clean_replay(tmp_path / "clean", entries)
+        _same_as(store, clean)
+        store.close()
+        _same_as(_open(tmp_path / "s1", compact_every=compact_every), clean)
+
+    def test_torn_history_bytes_past_the_snapshot_are_dropped(self, tmp_path):
+        entries = _entries(6)
+        store = _open(tmp_path / "s1", compact_every=4)
+        for entry in entries:
+            store.commit(entry)
+        store.close()
+        covered = store.snapshots.load()["history_bytes"]
+        with open(store.history_path, "ab") as handle:
+            handle.write(b"\x00\x00\x01\x00torn")
+        reopened = _open(tmp_path / "s1", compact_every=4)
+        assert store.history_path.stat().st_size == covered
+        _same_as(reopened, _clean_replay(tmp_path / "clean", entries))
+
+    def test_history_log_shorter_than_the_snapshot_is_corruption(
+            self, tmp_path):
+        store = _open(tmp_path / "s1", compact_every=2)
+        for entry in _entries(4):
+            store.commit(entry)
+        store.close()
+        path = store.history_path
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(WALCorruptionError):
+            _open(tmp_path / "s1")
+
+    def test_version_1_snapshot_opens_and_migrates(self, tmp_path):
+        entries = _entries(9)
+        store = _open(tmp_path / "s1", compact_every=10 ** 9)
+        for entry in entries[:5]:
+            store.commit(entry)
+        _write_v1_snapshot(store)
+        for entry in entries[5:7]:
+            store.commit(entry)
+        store.close()
+        clean = _clean_replay(tmp_path / "clean", entries)
+
+        old = _open(tmp_path / "s1", compact_every=2)
+        assert old.snapshots.load()["version"] == 1
+        assert old.history == clean.history[:7]
+        for entry in entries[7:]:
+            old.commit(entry)  # the 2nd commit compacts: migration
+        assert old.snapshots.load()["version"] == 2
+        old.close()
+        _same_as(_open(tmp_path / "s1"), clean)
+
+
+class TestCompactionCrashes:
+    """A SIGKILL between any two steps of ``compact()`` recovers to the
+    never-compacted store fed the same commits."""
+
+    @pytest.mark.parametrize("step", [
+        "history-appended", "snapshot-tmp-written", "snapshot-renamed"])
+    def test_kill_inside_compact(self, tmp_path, monkeypatch, step):
+        entries = _entries(12)
+        store = _open(tmp_path / "s1", compact_every=4)
+        for entry in entries[:7]:
+            store.commit(entry)  # one clean compaction first, at 4
+        save = store.snapshots.save
+
+        def crashing_save(document):
+            if step == "snapshot-tmp-written":
+                store.snapshots.path.with_suffix(".json.tmp").write_bytes(
+                    b'{"format": "repro-serv')
+            elif step == "snapshot-renamed":
+                save(document)
+            raise _Crash(step)
+
+        monkeypatch.setattr(store.snapshots, "save", crashing_save)
+        with pytest.raises(_Crash):
+            store.commit(entries[7])  # the 8th commit compacts
+        store.close()
+
+        recovered = _open(tmp_path / "s1", compact_every=4)
+        _same_as(recovered, _clean_replay(tmp_path / "c8", entries[:8]))
+        for entry in entries[8:]:
+            recovered.commit(entry)
+        recovered.close()
+        _same_as(_open(tmp_path / "s1"),
+                 _clean_replay(tmp_path / "c12", entries))
+
+    def test_kill_before_wal_reset_can_restart(self, tmp_path, monkeypatch):
+        """Regression: the snapshot landed but the WAL was not reset, so
+        replay re-applied entries the snapshot already holds and failed
+        with 'operation number would go backwards'."""
+        entries = _entries(5)
+        store = _open(tmp_path / "s1", compact_every=10 ** 9)
+        for entry in entries:
+            store.commit(entry)
+        monkeypatch.setattr(store.wal, "reset", lambda: None)
+        store.compact()
+        store.close()
+        assert store.wal.path.stat().st_size > 0
+        recovered = _open(tmp_path / "s1")
+        _same_as(recovered, _clean_replay(tmp_path / "clean", entries))
+        assert recovered.verify_recovery()["verified"] is True
+
+
+class TestInstallRemoteCrashes:
+    """``install_remote`` swaps the history crash-atomically: a kill
+    leaves exactly the old replica or exactly the adopted one."""
+
+    @staticmethod
+    def _setup(tmp_path):
+        donor = _open(tmp_path / "donor", site=2, compact_every=3)
+        for entry in _entries(7):
+            donor.commit(entry)
+        holder = _open(tmp_path / "holder", compact_every=3)
+        mine = _entries(4) + [_write_entry(holder, 5, "orphan")]
+        for entry in mine:
+            holder.commit(entry)
+        return donor, holder, mine
+
+    def _adopted(self, tmp_path, donor):
+        reference = _open(tmp_path / "reference")
+        reference.install_remote(donor.state.to_dict(), donor.data,
+                                 donor.history)
+        return reference
+
+    @pytest.mark.parametrize("step", [
+        "generation-written", "snapshot-renamed", "none"])
+    def test_kill_inside_install_remote(self, tmp_path, monkeypatch, step):
+        donor, holder, mine = self._setup(tmp_path)
+        retired = holder.history_path
+        if step != "none":
+            save = holder.snapshots.save
+
+            def crashing_save(document):
+                if step == "snapshot-renamed":
+                    save(document)
+                raise _Crash(step)
+
+            monkeypatch.setattr(holder.snapshots, "save", crashing_save)
+            with pytest.raises(_Crash):
+                holder.install_remote(donor.state.to_dict(), donor.data,
+                                      donor.history)
+        else:
+            holder.install_remote(donor.state.to_dict(), donor.data,
+                                  donor.history)
+        holder.close()
+
+        recovered = _open(tmp_path / "holder", compact_every=3)
+        if step == "generation-written":
+            expected = _clean_replay(tmp_path / "clean", mine)
+        else:
+            expected = self._adopted(tmp_path, donor)
+            assert not retired.exists()
+        _same_as(recovered, expected)
+        logs = sorted(p.name for p in (tmp_path / "holder").glob("history*"))
+        assert logs == [recovered.history_path.name]
+        # Life goes on: later commits append to the adopted history.
+        recovered.commit(_write_entry(recovered, 8, "after"))
+        recovered.close()
+        assert _open(tmp_path / "holder").state.operation == 8

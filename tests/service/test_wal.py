@@ -1,11 +1,18 @@
 """Unit tests for the write-ahead log and snapshot store."""
 
+import io
+import json
 import struct
 
 import pytest
 
 from repro.errors import ConfigurationError, WALCorruptionError
-from repro.service.wal import SnapshotStore, WriteAheadLog
+from repro.service.wal import (
+    SnapshotStore,
+    WriteAheadLog,
+    append_records,
+    read_records,
+)
 
 
 def _entries(n):
@@ -124,3 +131,51 @@ class TestSnapshots:
         store.path.write_text("{ not json")
         with pytest.raises(WALCorruptionError):
             store.load()
+
+    def test_saved_bytes_match_the_streaming_encoder(self, tmp_path):
+        """One ``json.dumps`` + binary write lays down exactly what
+        ``json.dump`` to a text handle did."""
+        document = {"state": {"operation": 9, "partition_set": [1, 2]},
+                    "data": {"k\u00e9y": "v\u2603", "n": [1.5, None, True]},
+                    "history": _entries(50)}
+        SnapshotStore(tmp_path).save(document)
+        expected = io.StringIO()
+        json.dump(document, expected, sort_keys=True, separators=(",", ":"))
+        assert SnapshotStore(tmp_path).path.read_bytes() == \
+            expected.getvalue().encode("utf-8")
+
+
+class TestRecordLog:
+    def test_append_then_stream(self, tmp_path):
+        path = tmp_path / "history.log"
+        size = append_records(path, _entries(3))
+        assert size == path.stat().st_size
+        assert append_records(path, []) == size
+        total = append_records(path, _entries(5)[3:])
+        assert list(read_records(path, total)) == _entries(5)
+        assert list(read_records(path, size)) == _entries(3)
+
+    def test_truncate_replaces_the_contents(self, tmp_path):
+        path = tmp_path / "history.log"
+        append_records(path, _entries(4))
+        size = append_records(path, _entries(1), truncate=True)
+        assert list(read_records(path, size)) == _entries(1)
+
+    def test_records_short_of_the_vouched_size_are_corruption(
+            self, tmp_path):
+        path = tmp_path / "history.log"
+        size = append_records(path, _entries(2))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(WALCorruptionError):
+            list(read_records(path, size))
+        with pytest.raises(WALCorruptionError):
+            list(read_records(tmp_path / "missing.log", size))
+
+    def test_wal_and_record_log_share_one_framing(self, tmp_path):
+        with WriteAheadLog(tmp_path, fsync="never") as log:
+            for entry in _entries(3):
+                log.append(entry)
+        wal = WriteAheadLog(tmp_path)
+        assert wal.read().entries == _entries(3)
+        assert list(read_records(wal.path, wal.path.stat().st_size)) == \
+            _entries(3)
