@@ -15,9 +15,8 @@ This module merges them back together:
   (``child.lc_start > lc`` of some ``send`` event on the parent, or
   simply the parent's own start when both live on one process).
 
-Reading is lenient: a SIGKILL can tear a log's final line, and a
-restarting replica then appends after the tear, so any unparsable
-line is skipped and counted instead of raising.
+Reading is lenient: a SIGKILL can tear a log's final line, so any
+unparsable line is skipped and counted instead of raising.
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ leniently.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import random
 import threading
 import time
 from typing import Any, Mapping, Optional, Union
 
+from repro.durable import JsonLinesWriter
 from repro.obs.dtrace.context import (
     LamportClock,
     WireContext,
@@ -72,23 +72,18 @@ class JsonlSpanSink:
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._writer = JsonLinesWriter(self.path, separators=(",", ":"))
         self._lock = threading.Lock()
 
     def write(self, record: dict[str, Any]) -> None:
         """Append *record* as one canonical JSON line (no-op if closed)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            if self._file.closed:
-                return
-            self._file.write(line + "\n")
-            self._file.flush()
+            self._writer.append(record)
 
     def close(self) -> None:
         """Close the log file; later writes become no-ops."""
         with self._lock:
-            if not self._file.closed:
-                self._file.close()
+            self._writer.close()
 
 
 class Span:

@@ -17,10 +17,8 @@ never confuses it with a recorded run; once the run records, the
 descriptor is stamped with the resulting ``run_id`` so watchers can
 link the two.
 
-Tailing uses the same truncation-tolerant byte-cursor contract as
-:meth:`~repro.obs.registry.store.RunRegistry.read_index_from`: a
-trailing segment with no newline — a concurrent writer caught
-mid-append — is left unconsumed for the next poll, never mis-parsed.
+The stream is :mod:`repro.durable` JSON lines, tailed by byte cursor
+exactly like the registry index.
 """
 
 from __future__ import annotations
@@ -28,10 +26,15 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import os
 import pathlib
-from typing import Any, Mapping, Optional, Union
+from typing import Any, BinaryIO, Mapping, Optional, Union
 
+from repro.durable import (
+    CorruptLineError,
+    JsonLinesWriter,
+    atomic_write,
+    read_json_lines,
+)
 from repro.errors import ConfigurationError
 from repro.obs.live.bus import Subscription, TelemetryBus, TelemetryEvent
 
@@ -90,7 +93,7 @@ class LiveStreamSink:
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
         try:
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._writer = JsonLinesWriter(self.path)
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot open live stream {self.path}: {exc}"
@@ -99,23 +102,18 @@ class LiveStreamSink:
 
     def __call__(self, event: TelemetryEvent) -> None:
         """Append one event (the bus-subscriber callback)."""
-        if self._handle is None:
+        if self._writer.closed:
             return
-        self._handle.write(
-            json.dumps(event.to_dict(), sort_keys=True) + "\n"
-        )
-        self._handle.flush()
+        self._writer.append(event.to_dict())
         self.events_written += 1
 
     def close(self) -> None:
         """Flush and close the stream (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._writer.close()
 
     @property
     def closed(self) -> bool:
-        return self._handle is None
+        return self._writer.closed
 
 
 class LiveSession:
@@ -242,11 +240,8 @@ class LiveSession:
             ) from exc
 
     def _write_descriptor(self) -> None:
-        tmp = self.descriptor_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(self.descriptor, indent=2, sort_keys=True) + "\n"
-        )
-        os.replace(tmp, self.descriptor_path)
+        atomic_write(self.descriptor_path, (json.dumps(
+            self.descriptor, indent=2, sort_keys=True) + "\n").encode())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LiveSession {self.live_id} {self.status}>"
@@ -275,33 +270,21 @@ def read_live_events(
     path = pathlib.Path(path)
     try:
         with path.open("rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
+            return _read_events(handle, offset, path)
     except OSError:
         return [], offset
-    return _parse_events(data, offset, path)
 
 
-def _parse_events(
-    data: bytes, offset: int, path: pathlib.Path
+def _read_events(
+    handle: BinaryIO, offset: int, path: pathlib.Path
 ) -> tuple[list[dict[str, Any]], int]:
-    events: list[dict[str, Any]] = []
-    position = offset
-    for raw in data.split(b"\n")[:-1]:  # drop the newline-less tail
-        position += len(raw) + 1
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"corrupt live-stream line at byte "
-                f"{position - len(raw) - 1} of {path}: {exc}"
-            ) from exc
-        if isinstance(payload, dict):
-            events.append(payload)
-    return events, position
+    try:
+        return read_json_lines(handle, offset)
+    except CorruptLineError as exc:
+        raise ConfigurationError(
+            f"corrupt live-stream line at byte {exc.offset} of {path}: "
+            f"{exc}"
+        ) from exc
 
 
 class LiveTail:
@@ -329,9 +312,8 @@ class LiveTail:
                 self._handle = self.path.open("rb")
             except OSError:
                 return []
-        self._handle.seek(self.position)
-        data = self._handle.read()
-        events, self.position = _parse_events(data, self.position, self.path)
+        events, self.position = _read_events(
+            self._handle, self.position, self.path)
         return events
 
     def close(self) -> None:

@@ -22,6 +22,10 @@ studies, canonical JSON for everything else), never of wall-clock or
 machine state — so re-running the identical seed produces the identical
 id and recording it again is a no-op.  The index is append-only during
 recording; only :meth:`RunRegistry.gc` compacts it.
+
+Crash order: artifacts, ``record.json`` by atomic replace (the commit
+point), then the index line; recording the same content again indexes
+a run that a kill left out of the index.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.durable import (
+    CorruptLineError,
+    JsonLinesWriter,
+    atomic_write,
+    json_line,
+    read_json_lines,
+)
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -323,7 +334,7 @@ class RunRegistry:
         run_id = self._run_id(kind, identity)
         run_dir = self.root / run_id
         if (run_dir / "record.json").exists():
-            return self.get(run_id)  # identical content: already stored
+            return self._indexed(self.get(run_id))  # already stored
         record = RunRecord(
             run_id=run_id,
             kind=kind,
@@ -339,17 +350,33 @@ class RunRegistry:
             run_dir.mkdir(parents=True, exist_ok=True)
             for name, (file_name, content) in sorted(files.items()):
                 (run_dir / file_name).write_bytes(content)
-            (run_dir / "record.json").write_text(
-                json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
-            with self.index_path.open("a") as handle:
-                handle.write(json.dumps(record.to_dict(),
-                                        sort_keys=True) + "\n")
-                handle.flush()
+            atomic_write(run_dir / "record.json", (json.dumps(
+                record.to_dict(), indent=2, sort_keys=True) + "\n").encode())
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot record run under {self.root}: {exc}"
             ) from exc
+        self._append_index(record)
+        return record
+
+    def _append_index(self, record: RunRecord) -> None:
+        try:
+            with JsonLinesWriter(self.index_path) as index:
+                index.append(record.to_dict())
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot index run {record.run_id} under {self.root}: {exc}"
+            ) from exc
+
+    def _indexed(self, record: RunRecord) -> RunRecord:
+        """*record*, after appending its index line if a kill left it
+        out (a byte search: a corrupt line elsewhere does not matter)."""
+        try:
+            index = self.index_path.read_bytes()
+        except OSError:
+            index = b""
+        if b"\n" + json_line(record.to_dict()) not in b"\n" + index:
+            self._append_index(record)
         return record
 
     def _code_lineage(self) -> dict[str, Any]:
@@ -734,13 +761,9 @@ class RunRegistry:
     ) -> tuple[list[dict[str, Any]], int]:
         """Parse complete index lines starting at byte *offset*.
 
-        Returns ``(records, new_offset)`` where *new_offset* points just
-        past the last **complete** (newline-terminated) line consumed.
-        A trailing segment with no newline — the signature of a
-        concurrent writer caught mid-append — is left for the next call
-        instead of raising, matching the truncation tolerance of
-        :func:`repro.obs.tracer.iter_jsonl`.  A complete line that is
-        not JSON is real corruption and raises.
+        Returns ``(records, new_offset)``, the cursor of
+        :func:`repro.durable.read_json_lines`: a line still being
+        appended is left for the next call.
 
         Raises:
             ConfigurationError: *offset* is negative or past the file,
@@ -752,31 +775,18 @@ class RunRegistry:
             )
         try:
             with self.index_path.open("rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
+                return read_json_lines(handle, offset)
+        except CorruptLineError as exc:
+            raise ConfigurationError(
+                f"corrupt index line at byte {exc.offset} under "
+                f"{self.root}: {exc}"
+            ) from exc
         except OSError:
             if offset == 0:
                 return [], 0
             raise ConfigurationError(
                 f"no index to read at offset {offset} under {self.root}"
             ) from None
-        records: list[dict[str, Any]] = []
-        position = offset
-        for raw in data.split(b"\n")[:-1]:  # drop the newline-less tail
-            position += len(raw) + 1
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"corrupt index line at byte {position - len(raw) - 1} "
-                    f"under {self.root}: {exc}"
-                ) from exc
-            if isinstance(payload, dict):
-                records.append(payload)
-        return records, position
 
     def adopt(self, run_dir: Union[str, pathlib.Path]) -> RunRecord:
         """Copy an external run directory into this registry.
@@ -804,38 +814,31 @@ class RunRegistry:
         record = RunRecord.from_dict(data, path=source)
         destination = self.root / record.run_id
         if (destination / "record.json").exists():
-            return self.get(record.run_id)
+            return self._indexed(self.get(record.run_id))
         try:
             destination.mkdir(parents=True, exist_ok=True)
             for file_name in record.artifacts.values():
                 shutil.copyfile(source / file_name,
                                 destination / file_name)
-            shutil.copyfile(record_path, destination / "record.json")
-            with self.index_path.open("a") as handle:
-                handle.write(json.dumps(record.to_dict(),
-                                        sort_keys=True) + "\n")
-                handle.flush()
+            atomic_write(destination / "record.json",
+                         record_path.read_bytes())
         except OSError as exc:
             shutil.rmtree(destination, ignore_errors=True)
             raise ConfigurationError(
                 f"cannot adopt {run_dir} into {self.root}: {exc}"
             ) from exc
+        self._append_index(record)
         return self.get(record.run_id)
 
     def list_runs(self, kind: Optional[str] = None) -> list[RunRecord]:
         """Every recorded run, oldest first (the index order).
 
-        Reads the append-only index with the same truncation-tolerant
-        reader the trace analytics use; runs whose directory has been
-        deleted out from under the index are skipped.
+        Runs whose directory has been deleted out from under the index
+        are skipped.
         """
-        from repro.obs.tracer import iter_jsonl
-
-        if not self.index_path.exists():
-            return []
         runs = []
         seen: set[str] = set()
-        for line in iter_jsonl(self.index_path):
+        for line in self.read_index_from(0)[0]:
             run_id = line.get("run_id")
             if not run_id or run_id in seen:
                 continue
@@ -1025,12 +1028,8 @@ class RunRegistry:
                               ignore_errors=True)
             survivors = [r for r in runs if r.run_id not in doomed_ids]
             try:
-                tmp = self.index_path.with_suffix(".jsonl.tmp")
-                with tmp.open("w") as handle:
-                    for record in survivors:
-                        handle.write(json.dumps(record.to_dict(),
-                                                sort_keys=True) + "\n")
-                tmp.replace(self.index_path)
+                atomic_write(self.index_path, b"".join(
+                    json_line(record.to_dict()) for record in survivors))
             except OSError as exc:
                 raise ConfigurationError(
                     f"cannot rewrite index under {self.root}: {exc}"

@@ -12,8 +12,8 @@ offset it has summarised up to (plus a checksum of the file head to
 catch rewrites).  A fresh recording only appends — the next read parses
 just the new tail and extends the cards in place; ``gc`` deletes the
 cache outright, forcing a full rebuild.  A torn final line written by a
-concurrent recorder is simply left for the next pass, the same
-tolerance :func:`repro.obs.tracer.iter_jsonl` gives traces.
+concurrent recorder is simply left for the next pass (the JSON-lines
+contract of :mod:`repro.durable`).
 
 ``repro runs list`` and every ``repro serve`` listing (HTML index and
 ``/api/runs``) go through :meth:`SummaryCache.cards` +
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.durable import atomic_write
 from repro.errors import ConfigurationError
 from repro.obs.registry.store import RunRegistry
 
@@ -192,9 +192,8 @@ class SummaryCache:
     def _save(self, document: dict[str, Any]) -> None:
         try:
             self.registry.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(document, sort_keys=True) + "\n")
-            os.replace(tmp, self.path)
+            atomic_write(self.path, (json.dumps(
+                document, sort_keys=True) + "\n").encode())
         except OSError:
             # A read-only registry still serves — every listing just
             # rebuilds from the index instead of hitting the cache.

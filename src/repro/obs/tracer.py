@@ -33,6 +33,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
+from repro.durable import JsonLines
+
 __all__ = [
     "FanoutSink",
     "JsonlSink",
@@ -231,44 +233,30 @@ def iter_jsonl(
     """Stream a JSONL trace file as dictionaries, one record at a time.
 
     Never materialises the whole trace — million-record files cost one
-    record of memory.  ``.gz`` paths are decompressed transparently.  A
-    truncated final line (the signature of an interrupted run) produces
-    a :class:`UserWarning` and ends the stream instead of raising; a
-    malformed line *followed by further records* still raises
-    ``json.JSONDecodeError``, because that is corruption, not
-    truncation.
+    record of memory.  ``.gz`` paths are decompressed transparently.
+    Unlike :mod:`repro.durable`'s cursor readers it parses a final line
+    without its newline, since a trace is a finished file; if that line
+    does not parse (an interrupted run) a :class:`UserWarning` ends the
+    stream.  A complete line that is not JSON raises
+    ``json.JSONDecodeError``: corruption, not truncation.
     """
     opener = gzip.open if _is_gzip_path(path) else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        pending: Optional[tuple[int, str]] = None
-        for number, line in enumerate(handle, start=1):
-            if pending is not None:
-                yield _parse_line(*pending, final=False)
-                pending = None
-            line = line.strip()
-            if line:
-                pending = (number, line)
-        if pending is not None:
-            record = _parse_line(*pending, final=True)
-            if record is not None:
-                yield record
-
-
-def _parse_line(
-    number: int, line: str, final: bool
-) -> Optional[dict[str, Any]]:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError:
-        if not final:
-            raise
-        warnings.warn(
-            f"discarding truncated final line {number} of JSONL trace "
-            "(interrupted run?)",
-            UserWarning,
-            stacklevel=3,
-        )
-        return None
+    with opener(path, "rb") as handle:
+        lines = JsonLines(handle)
+        yield from lines
+        if not lines.tail.strip():
+            return
+        try:
+            record = json.loads(lines.tail)
+        except ValueError:
+            warnings.warn(
+                f"discarding truncated final line {lines.lines} of JSONL "
+                "trace (interrupted run?)",
+                UserWarning,
+                stacklevel=2,
+            )
+            return
+        yield record
 
 
 def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict[str, Any]]:

@@ -9,18 +9,8 @@ land in numbered chunk files under one directory::
       chunk-000001.tsdb
       chunk-000002.tsdb     <- active tail
 
-Each chunk is a flat sequence of CRC-checked records in exactly the
-WAL's framing (:mod:`repro.service.wal`)::
-
-    +------------------+----------------+----------------------+
-    | length (4B, BE)  | crc32 (4B, BE) | payload (JSON bytes) |
-    +------------------+----------------+----------------------+
-
-and the read side keeps the same crash contract: a *torn final record*
-in the newest chunk — the signature of a scraper killed mid-append —
-is dropped silently, while corruption anywhere earlier raises
-:class:`~repro.errors.WALCorruptionError` (the store must not guess
-what a lying disk wrote).
+Each chunk is a :class:`~repro.durable.RecordLog`; only the newest one
+may end in a torn record, so a torn sealed chunk is corruption.
 
 Chunks rotate once the active one passes ``chunk_bytes``; retention
 keeps the newest ``max_chunks`` and deletes the rest, so a long bench
@@ -34,29 +24,19 @@ each sample's label set so selectors can say ``{target="site-3"}``.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import re
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Union
 
-from repro.errors import ConfigurationError, WALCorruptionError
+from repro.durable import RecordLog, read_records, scan_records
+from repro.errors import ConfigurationError
 
 __all__ = [
     "CHUNK_PATTERN",
-    "MAX_RECORD_BYTES",
     "Sample",
     "TimeSeriesStore",
 ]
-
-_RECORD = struct.Struct(">II")
-
-#: Upper bound on one batch's payload; a length prefix above this is
-#: treated as corruption rather than an allocation request.
-MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 #: Chunk file naming scheme (zero-padded so lexical order is scan order).
 CHUNK_PATTERN = re.compile(r"^chunk-(\d{6})\.tsdb$")
@@ -81,53 +61,6 @@ class Sample:
     summary: Optional[Mapping[str, Any]]
 
 
-def _scan_chunk(data: bytes, origin: str, tolerate_tail: bool) -> list[Any]:
-    """Decode every complete record, tolerating a torn tail when asked."""
-    entries: list[Any] = []
-    offset = 0
-    size = len(data)
-    while offset < size:
-        if offset + _RECORD.size > size:
-            if tolerate_tail:
-                break  # torn header at end-of-file
-            raise WALCorruptionError(
-                f"{origin}: torn record header at byte {offset} in a "
-                "sealed chunk — only the newest chunk may be torn"
-            )
-        length, crc = _RECORD.unpack_from(data, offset)
-        if length > MAX_RECORD_BYTES:
-            raise WALCorruptionError(
-                f"{origin}: record at byte {offset} claims {length} bytes "
-                f"(limit {MAX_RECORD_BYTES}) — corrupt length prefix"
-            )
-        start = offset + _RECORD.size
-        end = start + length
-        if end > size:
-            if tolerate_tail:
-                break  # torn payload at end-of-file
-            raise WALCorruptionError(
-                f"{origin}: torn record payload at byte {offset} in a "
-                "sealed chunk — only the newest chunk may be torn"
-            )
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            if tolerate_tail and end == size:
-                break  # torn final record: length landed, payload did not
-            raise WALCorruptionError(
-                f"{origin}: CRC mismatch at byte {offset} with "
-                f"{size - end} bytes following — mid-chunk corruption"
-            )
-        try:
-            entry = json.loads(payload)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WALCorruptionError(
-                f"{origin}: undecodable record at byte {offset}: {exc}"
-            ) from exc
-        entries.append(entry)
-        offset = end
-    return entries
-
-
 class TimeSeriesStore:
     """The on-disk metrics store for one bench/cluster run.
 
@@ -149,8 +82,7 @@ class TimeSeriesStore:
         self.directory = pathlib.Path(directory)
         self.chunk_bytes = chunk_bytes
         self.max_chunks = max_chunks
-        self._handle: Optional[Any] = None
-        self._active: Optional[pathlib.Path] = None
+        self._log: Optional[RecordLog] = None
         self._active_size = 0
 
     # ------------------------------------------------------------------
@@ -162,26 +94,27 @@ class TimeSeriesStore:
                   if CHUNK_PATTERN.match(path.name)]
         return sorted(chunks)
 
-    def _open_active(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        chunks = self.chunk_paths()
-        if chunks and chunks[-1].stat().st_size < self.chunk_bytes:
-            self._active = chunks[-1]
-        else:
-            index = _chunk_index(chunks[-1]) + 1 if chunks else 1
-            self._active = self.directory / f"chunk-{index:06d}.tsdb"
-        self._handle = open(self._active, "ab")
-        self._active_size = self._active.stat().st_size
+    def _start_chunk(self, index: int) -> RecordLog:
+        """Open chunk *index* for appending, cutting any torn tail."""
+        log = RecordLog(self.directory / f"chunk-{index:06d}.tsdb",
+                        fsync="never")
+        self._active_size = log.open().consumed
+        self._log = log
+        return log
 
-    def _rotate(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def _open_active(self) -> RecordLog:
+        # Reopen the newest chunk first, even a full one: a torn tail
+        # left there would otherwise be sealed in, or appended behind.
         chunks = self.chunk_paths()
-        index = _chunk_index(chunks[-1]) + 1 if chunks else 1
-        self._active = self.directory / f"chunk-{index:06d}.tsdb"
-        self._handle = open(self._active, "ab")
-        self._active_size = 0
+        log = self._start_chunk(_chunk_index(chunks[-1]) if chunks else 1)
+        if self._active_size < self.chunk_bytes:
+            return log
+        return self._rotate()
+
+    def _rotate(self) -> RecordLog:
+        self.close()
+        chunks = self.chunk_paths()
+        log = self._start_chunk(_chunk_index(chunks[-1]) + 1)
         # Retention: drop the oldest chunks beyond the cap.  The active
         # chunk is always newest, so it is never a deletion candidate.
         chunks = self.chunk_paths()
@@ -190,43 +123,20 @@ class TimeSeriesStore:
                 stale.unlink()
             except OSError:  # pragma: no cover - racing deletes are fine
                 pass
+        return log
 
     def append(self, batch: Mapping[str, Any]) -> None:
-        """Durably frame one scrape batch onto the active chunk."""
-        if self._handle is None:
-            try:
-                self._open_active()
-            except OSError as exc:
-                raise ConfigurationError(
-                    f"cannot open time-series store under "
-                    f"{self.directory}: {exc}"
-                ) from exc
-        payload = json.dumps(
-            batch, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        if len(payload) > MAX_RECORD_BYTES:
-            raise ConfigurationError(
-                f"scrape batch of {len(payload)} bytes exceeds the "
-                f"{MAX_RECORD_BYTES}-byte limit"
-            )
-        record = _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
-        try:
-            assert self._handle is not None
-            self._handle.write(record)
-            self._handle.flush()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot append to chunk {self._active}: {exc}"
-            ) from exc
-        self._active_size += len(record)
+        """Frame one scrape batch onto the active chunk (flushed)."""
+        log = self._log or self._open_active()
+        self._active_size += log.append(batch)
         if self._active_size >= self.chunk_bytes:
             self._rotate()
 
     def close(self) -> None:
         """Close the active chunk handle (reads never need it open)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "TimeSeriesStore":
         return self
@@ -244,12 +154,13 @@ class TimeSeriesStore:
         :class:`~repro.errors.WALCorruptionError`.
         """
         chunks = self.chunk_paths()
-        for position, path in enumerate(chunks):
-            data = path.read_bytes()
-            tail = position == len(chunks) - 1
-            for entry in _scan_chunk(data, str(path), tolerate_tail=tail):
+        for path in chunks[:-1]:
+            for entry in read_records(path, path.stat().st_size):
                 if isinstance(entry, dict):
                     yield entry
+        for entry in scan_records(chunks[-1]).entries if chunks else ():
+            if isinstance(entry, dict):
+                yield entry
 
     def samples(self) -> Iterator[Sample]:
         """Every stored point flattened for the query layer."""

@@ -114,6 +114,24 @@ class TestSpans:
         assert [r["name"] for r in records] == ["before.crash",
                                                 "after.restart"]
 
+    def test_restart_after_a_torn_line_keeps_the_first_new_span(
+            self, tmp_path):
+        """Regression: the first span after a restart was glued onto
+        the torn line and skipped as garbage."""
+        path = tmp_path / "spans.jsonl"
+        first = SpanRecorder(JsonlSpanSink(path), proc="site-1")
+        first.span("before.crash").finish()
+        first.close()
+        with path.open("a") as handle:
+            handle.write('{"trace": "t", "sp')  # SIGKILL mid-write
+        second = SpanRecorder(JsonlSpanSink(path), proc="site-1")
+        second.span("after.restart").finish()
+        second.close()
+        records, skipped = read_span_log(path)
+        assert skipped == 0
+        assert [r["name"] for r in records] == ["before.crash",
+                                                "after.restart"]
+
     def test_write_after_close_is_a_no_op(self, tmp_path):
         sink = JsonlSpanSink(tmp_path / "spans.jsonl")
         sink.close()

@@ -217,6 +217,49 @@ class TestIndexCursor:
         with pytest.raises(ConfigurationError, match="corrupt index"):
             registry.read_index_from(0)
 
+    def test_recording_after_a_torn_index_line_lists_every_run(
+        self, registry, cells, params
+    ):
+        """Regression: the next append completed the torn fragment into
+        a corrupt line, which hid the run and, once another line
+        followed, made every listing raise."""
+        first = _record(registry, cells, params)
+        with registry.index_path.open("a") as handle:
+            handle.write('{"run_id": "feedc0de00000000", "ki')  # killed
+        later = [
+            _record(registry, cells, StudyParameters(
+                horizon=2000.0, warmup=360.0, batches=2, seed=seed))
+            for seed in (12, 13)
+        ]
+        assert [r.run_id for r in registry.list_runs()] == \
+            [first.run_id] + [r.run_id for r in later]
+        entries, _ = registry.read_index_from(0)
+        assert len(entries) == 3
+
+    def test_kill_between_record_and_index_is_repaired(
+        self, registry, cells, params
+    ):
+        """Regression: a run whose ``record.json`` landed but whose
+        index line did not was never listed, and recording it again
+        was a no-op."""
+        record = _record(registry, cells, params)
+        registry.index_path.write_text("")  # the index append never ran
+        assert registry.list_runs() == []
+        assert _record(registry, cells, params).run_id == record.run_id
+        assert [r.run_id for r in registry.list_runs()] == [record.run_id]
+        _record(registry, cells, params)  # and only once
+        assert len(registry.read_index_from(0)[0]) == 1
+
+    def test_re_recording_ignores_a_corrupt_index_line(
+        self, registry, cells, params
+    ):
+        record = _record(registry, cells, params)
+        with registry.index_path.open("a") as handle:
+            handle.write("not json\n")
+        before = registry.index_path.read_bytes()
+        assert _record(registry, cells, params).run_id == record.run_id
+        assert registry.index_path.read_bytes() == before
+
     def test_offset_validation(self, registry):
         with pytest.raises(ConfigurationError):
             registry.read_index_from(-1)

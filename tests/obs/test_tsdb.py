@@ -166,6 +166,36 @@ class TestCrashContract:
         with pytest.raises(WALCorruptionError):
             list(store.batches())
 
+    def test_reopen_after_torn_append_keeps_later_batches(self, tmp_path):
+        """Regression: the writer appended behind a torn record, whose
+        length prefix then swallowed every later batch."""
+        store = TimeSeriesStore(tmp_path / "tsdb")
+        store.append(_batch(1.0))
+        store.close()
+        chunk = store.chunk_paths()[-1]
+        chunk.write_bytes(chunk.read_bytes()
+                          + struct.pack(">II", 999, 0) + b"par")
+        restarted = TimeSeriesStore(tmp_path / "tsdb")
+        restarted.append(_batch(2.0))
+        restarted.append(_batch(3.0))
+        restarted.close()
+        assert [b["at"] for b in restarted.batches()] == [1.0, 2.0, 3.0]
+
+    def test_torn_full_chunk_is_repaired_before_it_is_sealed(
+            self, tmp_path):
+        store = TimeSeriesStore(tmp_path / "tsdb", chunk_bytes=64)
+        store.append(_batch(1.0))  # fills the chunk; rotation follows
+        store.close()
+        first = store.chunk_paths()[0]
+        for stale in store.chunk_paths()[1:]:
+            stale.unlink()  # killed before the rotated chunk existed
+        first.write_bytes(first.read_bytes() + b"\x00\x00\x01")
+        restarted = TimeSeriesStore(tmp_path / "tsdb", chunk_bytes=64)
+        restarted.append(_batch(2.0))
+        restarted.close()
+        assert len(restarted.chunk_paths()) > 1
+        assert [b["at"] for b in restarted.batches()] == [1.0, 2.0]
+
     def test_absurd_length_prefix_is_corruption(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
         store.append(_batch(1.0))
