@@ -10,6 +10,9 @@ Commands regenerate everything in the paper from the terminal:
 * ``repro placement`` — the copy-placement study (experiment X5);
 * ``repro trace``     — per-site availability of a generated trace, or,
   given a scenario file, a full JSONL decision trace of its replay;
+* ``repro overhead``  — the per-policy message bill of a replayed history;
+* ``repro validate``  — self-check of the simulator against closed forms;
+* ``repro scenario``  — run a scripted JSON scenario step by step;
 * ``repro analyze``   — streaming analytics over a decision trace:
   ``summary`` (record counts), ``timeline`` (availability spans),
   ``audit`` (every denial mapped to its Algorithm-1 rule) and ``diff``
@@ -28,6 +31,12 @@ Commands regenerate everything in the paper from the terminal:
   ``BENCH_<n>.json`` point (quick in-process subset, or ingest a
   pytest-benchmark JSON), ``compare`` diffs two points with noise-aware
   thresholds and exits 1 on a regression (the CI gate);
+* ``repro service``   — the replicated KV service: ``replica`` (one
+  replica process), ``cluster`` (a supervised local cluster), ``bench``
+  (seeded chaos and load against real clusters), ``kill`` and ``trace``
+  (render a traced bench's exemplar waterfalls);
+* ``repro metrics``   — ``query`` and ``alerts`` over a scraped
+  time-series store;
 * ``repro runs``      — the content-addressed run registry: ``list``,
   ``show``, ``gc``, and ``diff``, which aligns two recorded studies
   cell by cell and exits 1 on an availability regression beyond noise;
@@ -40,7 +49,12 @@ Commands regenerate everything in the paper from the terminal:
   JSON API (``/api/runs``, ``/healthz``, ``/metricsz``), all stdlib
   WSGI with request telemetry recorded as ``serve.*`` metrics;
   ``repro serve warm`` pregenerates the summary cache and exits;
+* ``repro watch``     — follow a ``--live`` telemetry session;
 * ``repro demo``      — the engine walkthrough from Section 2's example.
+
+Each command is registered once, in :func:`build_parser`: its parser
+carries its handler, and the output paths its flags declare are checked
+for writability before the handler runs.
 
 Observability: a global ``--log-level`` flag configures the package
 logger; ``study``/``table2``/``table3`` and ``validate`` accept
@@ -55,13 +69,18 @@ its manifest, lineage and artifacts) in the registry under
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import pathlib
 import sys
 from typing import Optional, Sequence
 
 from repro.core.registry import PAPER_POLICIES, available_policies
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.configs import CONFIGURATIONS, configuration
+from repro.experiments.evaluator import evaluate_policy, poisson_times
 from repro.experiments.runner import StudyParameters, run_study
+from repro.experiments.scenarios import load_scenario, run_scenario
 from repro.experiments.sweep import access_rate_sweep, placement_sweep
 from repro.experiments.tables import (
     PAPER_TABLE_2,
@@ -71,11 +90,40 @@ from repro.experiments.tables import (
     format_table2,
     format_table3,
 )
-from repro.experiments.testbed import render_testbed
+from repro.experiments.testbed import render_testbed, testbed_topology
 from repro.failures.profiles import testbed_profiles
 from repro.failures.trace import generate_trace
+from repro.obs.metrics import MetricsRegistry, MetricsSink
+from repro.obs.tracer import FanoutSink, JsonlSink, MemorySink, Tracer
 
 __all__ = ["main", "build_parser"]
+
+_RUNS_DIR_HELP = "registry root (default .repro/runs, or REPRO_RUNS_DIR)"
+
+
+def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Register one command: its parser carries the *handler* that
+    :func:`main` calls, and the output paths its flags declare."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler, output_paths=(), registry_written=False)
+    return p
+
+
+def _output(p: argparse.ArgumentParser, flag: str, help: str,
+            default: Optional[str] = None) -> None:
+    """Declare a flag naming a file the command writes; :func:`main`
+    checks it is writable before the handler runs."""
+    action = p.add_argument(flag, metavar="PATH", default=default, help=help)
+    p.set_defaults(output_paths=p.get_default("output_paths") + (action.dest,))
+
+
+def _runs_dir(p: argparse.ArgumentParser, help: str = _RUNS_DIR_HELP,
+              written: bool = False) -> None:
+    """``--runs-dir``.  A *written* command always writes the registry
+    (preflighted like an output path); the others write it only under
+    ``--record`` or ``--live``."""
+    p.add_argument("--runs-dir", metavar="DIR", default=None, help=help)
+    p.set_defaults(registry_written=written)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,18 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store this run (manifest, lineage, "
                             "artifacts) in the content-addressed run "
                             "registry")
-        p.add_argument("--runs-dir", metavar="DIR", default=None,
-                       help="registry root (default .repro/runs, or "
-                            "REPRO_RUNS_DIR)")
+        _runs_dir(p)
 
-    sub.add_parser("testbed", help="print the Figure 8 network and Table 1")
+    _command(sub, "testbed", _cmd_testbed,
+             help="print the Figure 8 network and Table 1")
 
     for name, help_text in (
         ("table2", "regenerate Table 2 (unavailabilities)"),
         ("table3", "regenerate Table 3 (mean unavailable periods)"),
         ("study", "regenerate both tables from one simulation"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = _command(sub, name, _cmd_tables, help=help_text)
         add_sim_args(p)
         p.add_argument("--no-compare", action="store_true",
                        help="print only measured values, not paper-vs-ours")
@@ -132,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print 95%% batch-means confidence intervals")
         p.add_argument("--jobs", type=int, default=None,
                        help="evaluate cells in N parallel processes")
-        p.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write a run manifest + metrics JSON "
-                            "(per-cell wall-clock, quorum decision tallies)")
+        _output(p, "--metrics-out",
+                "write a run manifest + metrics JSON "
+                "(per-cell wall-clock, quorum decision tallies)")
         p.add_argument("--progress", action="store_true",
                        help="print a live progress line (cells done, "
                             "events/s, ETA) to stderr as cells complete")
@@ -145,22 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
                             "watch' or the /live page of 'repro serve'")
         add_record_args(p)
 
-    p = sub.add_parser("sweep", help="access-rate ablation for ODV/OTDV")
+    p = _command(sub, "sweep", _cmd_sweep,
+                 help="access-rate ablation for ODV/OTDV")
     add_sim_args(p)
     p.add_argument("--config", default="F", choices=sorted(CONFIGURATIONS),
                    help="configuration to sweep (default F)")
     p.add_argument("--rates", default="0.1,0.5,1,2,5,10,50",
                    help="comma-separated accesses per day")
 
-    p = sub.add_parser("placement", help="rank every copy placement")
+    p = _command(sub, "placement", _cmd_placement,
+                 help="rank every copy placement")
     add_sim_args(p)
     p.add_argument("--copies", type=int, default=3, help="copies to place")
     p.add_argument("--policy", default="TDV",
                    choices=sorted(available_policies()))
     p.add_argument("--top", type=int, default=10, help="rows to print")
 
-    p = sub.add_parser(
-        "trace",
+    p = _command(
+        sub, "trace", _cmd_trace,
         help="per-site availability of a trace, or a JSONL decision "
              "trace of a scenario replay",
     )
@@ -168,30 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="?", default=None,
                    help="repro-scenario JSON file: replay it with full "
                         "structured tracing instead of sampling a trace")
-    p.add_argument("--save", metavar="PATH", default=None,
-                   help="also write the generated trace to a JSON file")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="JSONL destination for the scenario decision "
+    _output(p, "--save", "also write the generated trace to a JSON file")
+    _output(p, "--out", "JSONL destination for the scenario decision "
                         "trace (default: stdout)")
     add_record_args(p)
 
-    p = sub.add_parser("overhead", help="per-policy message bill")
+    p = _command(sub, "overhead", _cmd_overhead,
+                 help="per-policy message bill")
     add_sim_args(p)
     p.add_argument("--config", default="F", choices=sorted(CONFIGURATIONS),
                    help="configuration to replay (default F)")
     p.add_argument("--days", type=float, default=365.0,
                    help="days of history to replay through the engine")
 
-    p = sub.add_parser(
-        "validate",
+    p = _command(
+        sub, "validate", _cmd_validate,
         help="self-check: simulator vs exact analytic availability",
     )
     add_sim_args(p)
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="write a run manifest + metrics JSON for the "
-                        "validation checks")
+    _output(p, "--metrics-out", "write a run manifest + metrics JSON for "
+                                "the validation checks")
 
-    p = sub.add_parser("scenario", help="run a JSON scenario file")
+    p = _command(sub, "scenario", _cmd_scenario,
+                 help="run a JSON scenario file")
     p.add_argument("file", help="path to a repro-scenario JSON document")
 
     p = sub.add_parser(
@@ -201,36 +249,39 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="analyze_command", required=True)
 
     def add_json_out(q: argparse.ArgumentParser) -> None:
-        q.add_argument("--json-out", metavar="PATH", default=None,
-                       help="also write the full result as a JSON document")
+        _output(q, "--json-out", "also write the full result as a JSON "
+                                 "document")
 
-    q = asub.add_parser(
-        "summary",
-        help="record counts, quorum decision tallies, covered span",
+    def add_trace_command(name: str, handler, help: str):
+        q = _command(asub, name, handler, help=help)
+        q.add_argument("trace",
+                       help="JSONL decision trace (.jsonl or .jsonl.gz)")
+        return q
+
+    q = add_trace_command(
+        "summary", _cmd_analyze_summary,
+        "record counts, quorum decision tallies, covered span",
     )
-    q.add_argument("trace", help="JSONL decision trace (.jsonl or .jsonl.gz)")
     add_json_out(q)
 
-    q = asub.add_parser(
-        "timeline",
-        help="per-policy availability spans rebuilt from the decisions",
+    q = add_trace_command(
+        "timeline", _cmd_analyze_timeline,
+        "per-policy availability spans rebuilt from the decisions",
     )
-    q.add_argument("trace", help="JSONL decision trace (.jsonl or .jsonl.gz)")
     q.add_argument("--policy", default=None,
                    help="restrict to one policy's timeline")
     add_json_out(q)
 
-    q = asub.add_parser(
-        "audit",
-        help="map every quorum denial to the Algorithm-1 rule that failed",
+    q = add_trace_command(
+        "audit", _cmd_analyze_audit,
+        "map every quorum denial to the Algorithm-1 rule that failed",
     )
-    q.add_argument("trace", help="JSONL decision trace (.jsonl or .jsonl.gz)")
     q.add_argument("--limit", type=int, default=20,
                    help="denials to explain in full (default 20)")
     add_json_out(q)
 
-    q = asub.add_parser(
-        "diff",
+    q = _command(
+        asub, "diff", _cmd_analyze_diff,
         help="align two protocols' traces over the same history and "
              "explain the first divergent quorum decision",
     )
@@ -261,24 +312,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lift the commit-fault safety budget "
                             "(demonstrates forks on correct protocols)")
 
-    q = csub.add_parser(
-        "run", help="one seeded schedule against one protocol",
+    def add_chaos_outputs(q: argparse.ArgumentParser, save: bool) -> None:
+        _output(q, "--out", "JSONL destination for the structured trace")
+        if save:
+            _output(q, "--save-schedule",
+                    "write the schedule as replayable JSON")
+        _output(q, "--json-out",
+                "also write the run summary as a JSON document")
+        add_record_args(q)
+
+    q = _command(
+        csub, "run", _cmd_chaos_run,
+        help="one seeded schedule against one protocol",
     )
     q.add_argument("--seed", type=int, default=0, help="chaos seed")
     q.add_argument("--policy", default="LDV",
                    help="MCV/DV/LDV/ODV/TDV/OTDV, or BROKEN-TIE "
                         "(deliberately unsafe, for the monitor demo)")
     add_chaos_build(q)
-    q.add_argument("--out", metavar="PATH", default=None,
-                   help="JSONL destination for the structured trace")
-    q.add_argument("--save-schedule", metavar="PATH", default=None,
-                   help="write the schedule as replayable JSON")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the run summary as a JSON document")
-    add_record_args(q)
+    add_chaos_outputs(q, save=True)
 
-    q = csub.add_parser(
-        "sweep",
+    q = _command(
+        csub, "sweep", _cmd_chaos_sweep,
         help="fuzz many seeded schedules across the paper's protocols",
     )
     q.add_argument("--seeds", type=int, default=40,
@@ -288,18 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_chaos_build(q)
     q.add_argument("--quick", action="store_true",
                    help="8 seeds per policy: the CI smoke variant")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the sweep report as a JSON document")
+    _output(q, "--json-out",
+            "also write the sweep report as a JSON document")
     q.add_argument("--live", action="store_true",
                    help="stream per-policy phases, run summaries and "
                         "invariant violations to a live session under "
                         "the run registry")
-    q.add_argument("--runs-dir", metavar="DIR", default=None,
-                   help="registry root for --live (default .repro/runs, "
-                        "or REPRO_RUNS_DIR)")
+    _runs_dir(q, "registry root for --live (default .repro/runs, or "
+                 "REPRO_RUNS_DIR)")
 
-    q = csub.add_parser(
-        "replay",
+    q = _command(
+        csub, "replay", _cmd_chaos_run,
         help="re-run a violating schedule deterministically",
     )
     q.add_argument("--schedule", metavar="FILE", default=None,
@@ -310,11 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="protocol to replay against (default: the one "
                         "recorded in --schedule, else LDV)")
     add_chaos_build(q)
-    q.add_argument("--out", metavar="PATH", default=None,
-                   help="JSONL destination for the structured trace")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the run summary as a JSON document")
-    add_record_args(q)
+    add_chaos_outputs(q, save=False)
 
     p = sub.add_parser(
         "profile",
@@ -334,25 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "(sample engine only; default 5)")
         q.add_argument("--top", type=int, default=15,
                        help="hot functions to print (default 15)")
-        q.add_argument("--collapsed", metavar="PATH", default=None,
-                       help="write flamegraph-compatible collapsed "
-                            "stacks ('a;b;c count' lines)")
-        q.add_argument("--json-out", metavar="PATH", default=None,
-                       help="also write the full report as a JSON "
-                            "document")
-        q.add_argument("--out", metavar="PATH", default=None,
-                       help="write the text report here instead of "
-                            "stdout")
+        _output(q, "--collapsed", "write flamegraph-compatible collapsed "
+                                  "stacks ('a;b;c count' lines)")
+        _output(q, "--json-out",
+                "also write the full report as a JSON document")
+        _output(q, "--out", "write the text report here instead of stdout")
         add_record_args(q)
 
-    q = psub.add_parser("scenario", help="profile one scenario replay")
+    q = _command(psub, "scenario", _cmd_profile_scenario,
+                 help="profile one scenario replay")
     q.add_argument("file", help="path to a repro-scenario JSON document")
     q.add_argument("--policy", default=None,
                    help="override the scenario's policy")
     add_profile_common(q)
 
-    q = psub.add_parser(
-        "study", help="profile a (small) availability study",
+    q = _command(
+        psub, "study", _cmd_profile_study,
+        help="profile a (small) availability study",
     )
     add_sim_args(q)
     q.add_argument("--configs", default="A,F",
@@ -363,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: all six paper columns)")
     add_profile_common(q)
 
-    q = psub.add_parser("chaos", help="profile one chaos schedule run")
+    q = _command(psub, "chaos", _cmd_profile_chaos,
+                 help="profile one chaos schedule run")
     q.add_argument("--seed", type=int, default=0, help="chaos seed")
     q.add_argument("--policy", default="LDV",
                    help="protocol to run the schedule against")
@@ -377,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bsub = p.add_subparsers(dest="bench_command", required=True)
 
-    q = bsub.add_parser(
-        "record", help="append a BENCH_<n>.json trajectory point",
+    q = _command(
+        bsub, "record", _cmd_bench_record,
+        help="append a BENCH_<n>.json trajectory point",
     )
     q.add_argument("--quick", action="store_true",
                    help="time the pinned micro subset in-process "
@@ -389,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--from-json", metavar="FILE", default=None,
                    help="ingest a pytest-benchmark --benchmark-json "
                         "document instead of running anything")
-    q.add_argument("--out", metavar="PATH", default=None,
-                   help="write the point here instead of the next "
+    _output(q, "--out", "write the point here instead of the next "
                         "BENCH_<n>.json in --dir")
     q.add_argument("--dir", default=".", metavar="DIR",
                    help="trajectory directory (default: current "
@@ -399,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free-text note stored in the point")
     add_record_args(q)
 
-    q = bsub.add_parser(
-        "compare",
+    q = _command(
+        bsub, "compare", _cmd_bench_compare,
         help="diff two trajectory points; exit 1 on a regression",
     )
     q.add_argument("current", nargs="?", default=None,
@@ -419,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ignore-fingerprint", action="store_true",
                    help="compare across machines/interpreters anyway "
                         "(CI does, with a wide --max-regression)")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the comparison as a JSON document")
+    _output(q, "--json-out", "also write the comparison as a JSON document")
 
     p = sub.add_parser(
         "service",
@@ -441,9 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="WAL durability (default always; 'never' "
                             "is for tests only)")
 
-    q = vsub.add_parser(
-        "replica", help="run one replica process (what the cluster "
-                        "supervisor spawns)",
+    q = _command(
+        vsub, "replica", _cmd_service_replica,
+        help="run one replica process (what the cluster supervisor "
+             "spawns)",
     )
     q.add_argument("--site", type=int, required=True,
                    help="this replica's paper site number (1-based)")
@@ -470,9 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write distributed-tracing spans to "
                         "spans.jsonl next to the WAL")
 
-    q = vsub.add_parser(
-        "cluster", help="run a supervised local cluster (behind the "
-                        "chaos proxy) until interrupted",
+    q = _command(
+        vsub, "cluster", _cmd_service_cluster,
+        help="run a supervised local cluster (behind the chaos proxy) "
+             "until interrupted",
     )
     q.add_argument("--dir", default=".service", metavar="DIR",
                    help="cluster directory (default .service)")
@@ -486,10 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="every replica (and the proxy) writes "
                         "distributed-tracing span logs")
 
-    q = vsub.add_parser(
-        "bench", help="seeded chaos + load against real clusters, one "
-                      "per policy; exit 1 on any safety violation or "
-                      "failed recovery",
+    q = _command(
+        vsub, "bench", _cmd_service_bench,
+        help="seeded chaos + load against real clusters, one per "
+             "policy; exit 1 on any safety violation or failed recovery",
     )
     q.add_argument("--dir", default=None, metavar="DIR",
                    help="working directory (default: a fresh temp dir, "
@@ -535,29 +585,33 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RATIO",
                    help="SLO availability target the burn-rate alert "
                         "guards (default 0.99)")
-    q.add_argument("--out", metavar="PATH", default=None,
-                   help="also write the bench document as JSON")
+    _output(q, "--out", "also write the bench document as JSON")
     q.add_argument("--live", action="store_true",
                    help="stream cluster phases and applied faults to a "
                         "live session under the run registry")
     add_record_args(q)
 
-    q = vsub.add_parser(
-        "kill", help="SIGKILL one replica of a running cluster (uses "
-                     "the cluster.json control file)",
+    q = _command(
+        vsub, "kill", _cmd_service_kill,
+        help="SIGKILL one replica of a running cluster (uses the "
+             "cluster.json control file)",
     )
     q.add_argument("site", type=int, help="site number to kill")
     q.add_argument("--dir", default=".service", metavar="DIR",
                    help="cluster directory (default .service)")
 
-    q = vsub.add_parser(
-        "trace", help="render the exemplar distributed traces a traced "
-                      "service bench recorded (text waterfall per "
-                      "trace, causality-checked)",
+    def add_service_run(q: argparse.ArgumentParser) -> None:
+        q.add_argument("run", nargs="?", default="latest",
+                       help="run id (or unique prefix), or 'latest' "
+                            "(default: the newest service run)")
+
+    q = _command(
+        vsub, "trace", _cmd_service_trace,
+        help="render the exemplar distributed traces a traced service "
+             "bench recorded (text waterfall per trace, "
+             "causality-checked)",
     )
-    q.add_argument("run", nargs="?", default="latest",
-                   help="run id (or unique prefix), or 'latest' "
-                        "(default: the newest service run)")
+    add_service_run(q)
     q.add_argument("--trace-id", default=None, metavar="ID",
                    help="render only the trace whose id starts with ID")
     q.add_argument("--outcome", default=None, metavar="NAME",
@@ -566,9 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--no-events", action="store_true",
                    help="hide span events (send/recv, quorum verdicts, "
                         "chaos annotations)")
-    q.add_argument("--runs-dir", metavar="DIR", default=None,
-                   help="registry root (default .repro/runs, or "
-                        "REPRO_RUNS_DIR)")
+    _runs_dir(q)
 
     p = sub.add_parser(
         "metrics",
@@ -578,21 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="metrics_command", required=True)
 
     def add_metrics_source(q: argparse.ArgumentParser) -> None:
-        q.add_argument("run", nargs="?", default="latest",
-                       help="run id (or unique prefix), or 'latest' "
-                            "(default: the newest service run)")
+        add_service_run(q)
         q.add_argument("--tsdb", metavar="DIR", default=None,
                        help="query a raw store directory instead of a "
                             "recorded run (e.g. <bench-dir>/tsdb)")
         q.add_argument("--policy", default=None,
                        help="restrict to one policy's series")
-        q.add_argument("--runs-dir", metavar="DIR", default=None,
-                       help="registry root (default .repro/runs, or "
-                            "REPRO_RUNS_DIR)")
+        _runs_dir(q)
 
-    q = msub.add_parser(
-        "query", help="evaluate one selector over the stored series "
-                      "(rate, increase, last, quantiles)",
+    q = _command(
+        msub, "query", _cmd_metrics_query,
+        help="evaluate one selector over the stored series (rate, "
+             "increase, last, quantiles)",
     )
     q.add_argument("selector", metavar="SELECTOR",
                    help="series selector, e.g. "
@@ -607,21 +656,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--at", type=float, default=None, metavar="UNIX",
                    help="evaluate at this wall-clock time (default: "
                         "the newest matched sample)")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the result as a JSON document")
+    _output(q, "--json-out", "also write the result as a JSON document")
     add_metrics_source(q)
 
-    q = msub.add_parser(
-        "alerts", help="replay the SLO alert rules over the stored "
-                       "series and print every firing/resolved edge",
+    q = _command(
+        msub, "alerts", _cmd_metrics_alerts,
+        help="replay the SLO alert rules over the stored series and "
+             "print every firing/resolved edge",
     )
     q.add_argument("--duration", type=float, default=60.0,
                    help="bench duration the rule windows were sized "
                         "for (default 60)")
     q.add_argument("--target", type=float, default=0.99,
                    help="SLO availability target (default 0.99)")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the alert history as JSON")
+    _output(q, "--json-out", "also write the alert history as JSON")
     add_metrics_source(q)
 
     p = sub.add_parser(
@@ -630,13 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rsub = p.add_subparsers(dest="runs_command", required=True)
 
-    def add_runs_dir(q: argparse.ArgumentParser) -> None:
-        q.add_argument("--runs-dir", metavar="DIR", default=None,
-                       help="registry root (default .repro/runs, or "
-                            "REPRO_RUNS_DIR)")
-
-    q = rsub.add_parser(
-        "list",
+    q = _command(
+        rsub, "list", _cmd_runs_list,
         help="recorded runs, from the pregenerated summary cache",
     )
     q.add_argument("--kind", default=None,
@@ -658,20 +701,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "stat per repaint) until interrupted")
     q.add_argument("--watch-count", type=int, default=None,
                    metavar="N", help=argparse.SUPPRESS)
-    add_runs_dir(q)
+    _runs_dir(q, written=True)
 
-    q = rsub.add_parser(
-        "show", help="one run's identity, lineage and artifacts",
-    )
+    q = _command(rsub, "show", _cmd_runs_show,
+                 help="one run's identity, lineage and artifacts")
     q.add_argument("run",
                    help="run id, unique prefix (>= 4 chars), run "
                         "directory path, or 'latest'")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the record as a JSON document")
-    add_runs_dir(q)
+    _output(q, "--json-out", "also write the record as a JSON document")
+    _runs_dir(q, written=True)
 
-    q = rsub.add_parser(
-        "diff",
+    q = _command(
+        rsub, "diff", _cmd_runs_diff,
         help="align two recorded studies cell by cell; exit 1 on an "
              "availability regression beyond noise",
     )
@@ -689,13 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--verbose", action="store_true",
                    help="print every aligned cell, not only the ones "
                         "beyond noise")
-    q.add_argument("--json-out", metavar="PATH", default=None,
-                   help="also write the diff as a JSON document")
-    add_runs_dir(q)
+    _output(q, "--json-out", "also write the diff as a JSON document")
+    _runs_dir(q, written=True)
 
-    q = rsub.add_parser(
-        "gc", help="prune old runs and compact the index",
-    )
+    q = _command(rsub, "gc", _cmd_runs_gc,
+                 help="prune old runs and compact the index")
     q.add_argument("--keep-last", type=int, default=20,
                    help="runs to keep, most recent first (default 20)")
     q.add_argument("--kind", action="append", default=None,
@@ -704,23 +743,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prune only this kind (repeatable)")
     q.add_argument("--dry-run", action="store_true",
                    help="report what would be deleted, delete nothing")
-    add_runs_dir(q)
+    _runs_dir(q, written=True)
 
-    p = sub.add_parser(
-        "report",
+    p = _command(
+        sub, "report", _cmd_report,
         help="render recorded runs as one self-contained HTML file",
     )
     p.add_argument("runs", nargs="+", metavar="RUN",
                    help="run ids, unique prefixes, run directory "
                         "paths, or 'latest'")
-    p.add_argument("--out", metavar="PATH", default="report.html",
-                   help="HTML destination (default report.html)")
+    _output(p, "--out", "HTML destination (default report.html)",
+            default="report.html")
     p.add_argument("--title", default="Dynamic voting — recorded results",
                    help="document title")
-    add_runs_dir(p)
+    _runs_dir(p, written=True)
 
-    p = sub.add_parser(
-        "serve",
+    p = _command(
+        sub, "serve", _cmd_serve,
         help="serve the run registry as a browsable web explorer "
              "(HTML pages + JSON API); 'repro serve warm' pregenerates "
              "the summary cache and exits",
@@ -734,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="copy an external run directory (e.g. "
                         "results/baseline_run) into the registry "
                         "before serving (repeatable)")
-    add_runs_dir(p)
+    _runs_dir(p, written=True)
     ssub = p.add_subparsers(dest="serve_command", required=False)
     warm = ssub.add_parser(
         "warm",
@@ -750,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--runs-dir", metavar="DIR",
                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    p = sub.add_parser(
-        "watch",
+    p = _command(
+        sub, "watch", _cmd_watch,
         help="follow a live telemetry session (started with --live) in "
              "the terminal",
     )
@@ -766,11 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-start", action="store_true",
                    help="replay the whole event stream instead of "
                         "tailing from the current end")
-    p.add_argument("--runs-dir", metavar="DIR", default=None,
-                   help="registry root (default .repro/runs, or "
-                        "REPRO_RUNS_DIR)")
+    _runs_dir(p)
 
-    sub.add_parser("demo", help="run the Section 2 worked example")
+    _command(sub, "demo", _cmd_demo,
+             help="run the Section 2 worked example")
     return parser
 
 
@@ -818,9 +856,6 @@ def _write_metrics_dump(
     **extra,
 ) -> None:
     """Write a ``{"manifest": ..., "metrics": ...}`` JSON document."""
-    import json
-    import pathlib
-
     from repro.obs.manifest import build_manifest
 
     cell_seconds = {
@@ -832,19 +867,13 @@ def _write_metrics_dump(
     manifest = build_manifest(
         command, params, policies, configurations, **extra
     ).finished(wall_clock_seconds, cell_seconds)
-    payload = {"manifest": manifest.to_dict(), "metrics": metrics.to_dict()}
-    try:
-        pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write metrics to {path}: {exc}"
-        ) from exc
-    print(f"metrics written to {path}", file=sys.stderr)
+    _write_json(path, {"manifest": manifest.to_dict(),
+                       "metrics": metrics.to_dict()},
+                f"metrics written to {path}")
 
 
-def _cmd_tables(args: argparse.Namespace, which: str) -> int:
-    from repro.obs.metrics import MetricsRegistry
-
+def _cmd_tables(args: argparse.Namespace) -> int:
+    which = args.command
     params = _params(args)
     print(
         f"simulating {params.horizon:.0f} days "
@@ -853,23 +882,18 @@ def _cmd_tables(args: argparse.Namespace, which: str) -> int:
         f"{params.access_rate_per_day:g} access/day) ...",
         file=sys.stderr,
     )
-    metrics_out = getattr(args, "metrics_out", None)
-    record = getattr(args, "record", False)
-    jobs = getattr(args, "jobs", None)
-    bus, live_session = _start_live(args, which, {
+    metrics_out, record, jobs = args.metrics_out, args.record, args.jobs
+    with _live(args, which, {
         "horizon": params.horizon,
         "seed": params.seed,
         "warmup": params.warmup,
         "batches": params.batches,
         "access_rate": params.access_rate_per_day,
         "jobs": jobs,
-    })
-    registered = None
-    try:
+    }) as live:
         if not metrics_out and not record:
-            cells = run_study(params, jobs=jobs,
-                              progress=getattr(args, "progress", False),
-                              bus=bus)
+            cells = run_study(params, jobs=jobs, progress=args.progress,
+                              bus=live.bus)
         else:
             # The registry times the command itself (command.seconds), so
             # the manifest's wall clock is the timer's own reading — no
@@ -886,10 +910,10 @@ def _cmd_tables(args: argparse.Namespace, which: str) -> int:
             with metrics.timed("command.seconds", command=which):
                 cells = run_study(params, jobs=jobs,
                                   metrics=metrics,
-                                  progress=getattr(args, "progress", False),
+                                  progress=args.progress,
                                   profiler=profiler,
                                   capture_timelines=record,
-                                  bus=bus)
+                                  bus=live.bus)
             if profiler is not None:
                 profiler.flush()
             if metrics_out:
@@ -907,15 +931,7 @@ def _cmd_tables(args: argparse.Namespace, which: str) -> int:
                     metrics=metrics, timelines=cells.timelines,
                 )
                 _record_note(registered)
-    except BaseException:
-        if live_session is not None:
-            live_session.finish("failed")
-        raise
-    if live_session is not None:
-        live_session.finish(
-            "finished",
-            run_id=None if registered is None else registered.run_id,
-        )
+                live.run_id = registered.run_id
     if which in ("table2", "study"):
         if args.no_compare:
             print(format_table2(cells))
@@ -936,7 +952,7 @@ def _cmd_tables(args: argparse.Namespace, which: str) -> int:
                 "(paper vs ours)",
                 use_durations=True,
             ))
-    if getattr(args, "intervals", False):
+    if args.intervals:
         print()
         print(format_intervals(cells))
     failed = getattr(cells, "failed_cells", ())
@@ -978,20 +994,11 @@ def _cmd_placement(args: argparse.Namespace) -> None:
 
 def _cmd_trace_scenario(args: argparse.Namespace) -> int:
     """Replay a scenario file with full structured tracing (JSONL)."""
-    from repro.experiments.scenarios import load_scenario, run_scenario
-    from repro.experiments.testbed import testbed_topology
-    from repro.obs.tracer import FanoutSink, JsonlSink, MemorySink, Tracer
-
     spec = load_scenario(args.scenario)
-    try:
-        sink = JsonlSink(args.out if args.out else sys.stdout)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write trace to {args.out}: {exc}"
-        ) from exc
+    sink = _jsonl_sink(args.out)
     memory = None
     outer = sink
-    if getattr(args, "record", False):
+    if args.record:
         memory = MemorySink(capacity=1_000_000)
         outer = FanoutSink((sink, memory))
     tracer = Tracer(outer, scenario=spec.name)
@@ -1018,7 +1025,26 @@ def _cmd_trace_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> None:
+def _jsonl_sink(path: Optional[str]):
+    """A JSONL trace sink on *path* (stdout when None); exit 2 if it
+    cannot be opened."""
+    try:
+        return JsonlSink(path if path else sys.stdout)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write trace to {path}: {exc}"
+        ) from exc
+
+
+def _cmd_trace(args: argparse.Namespace) -> Optional[int]:
+    if args.scenario is not None:
+        return _cmd_trace_scenario(args)
+    flag = "--record" if args.record else "--out" if args.out else None
+    if flag is not None:
+        raise ConfigurationError(
+            f"trace {flag} requires a scenario file; a sampled failure "
+            "trace is written with --save instead"
+        )
     params = _params(args)
     trace = generate_trace(testbed_profiles(), params.horizon, params.seed)
     if args.save:
@@ -1041,11 +1067,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> None:
-    from repro.core.registry import PAPER_POLICIES
-    from repro.experiments.evaluator import poisson_times
     from repro.experiments.overhead import measure_overhead
     from repro.experiments.report import ascii_table
-    from repro.experiments.testbed import testbed_topology
 
     config = configuration(args.config)
     topology = testbed_topology()
@@ -1080,12 +1103,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         single_copy_predicate,
         static_availability,
     )
-    from repro.experiments.evaluator import evaluate_policy, poisson_times
-    from repro.experiments.testbed import testbed_topology
-    from repro.obs.metrics import MetricsRegistry, MetricsSink
-    from repro.obs.tracer import Tracer
 
-    metrics_out = getattr(args, "metrics_out", None)
+    metrics_out = args.metrics_out
     metrics = MetricsRegistry() if metrics_out else None
     params = _params(args)
     topology = testbed_topology()
@@ -1181,9 +1200,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.experiments.scenarios import load_scenario, run_scenario
-    from repro.experiments.testbed import testbed_topology
-
     spec = load_scenario(args.file)
     print(f"scenario {spec.name!r}: policy {spec.policy}, "
           f"copies {sorted(spec.copy_sites)}")
@@ -1217,16 +1233,28 @@ def _cmd_demo(args: argparse.Namespace) -> None:
     run_demo()
 
 
-def _write_json_out(path: str, payload: dict) -> None:
-    """Write an analysis result as a JSON document."""
-    import json
-    import pathlib
-
+def _write(path, text: str, note: Optional[str] = None) -> None:
+    """The one file writer: *text* to *path*, then *note* on stderr.
+    An unwritable path is a configuration error (exit 2)."""
     try:
-        pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        pathlib.Path(path).write_text(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-    print(f"json written to {path}", file=sys.stderr)
+    if note:
+        print(note, file=sys.stderr)
+
+
+def _write_json(path, payload: dict, note: Optional[str] = None) -> None:
+    """Write *payload* in the one JSON format: two-space indent, keys in
+    document order, a trailing newline."""
+    _write(path, json.dumps(payload, indent=2) + "\n", note)
+
+
+def _json_out(args: argparse.Namespace, payload: dict) -> None:
+    """Honour ``--json-out``."""
+    if args.json_out:
+        _write_json(args.json_out, payload,
+                    f"json written to {args.json_out}")
 
 
 def _cmd_analyze_summary(args: argparse.Namespace) -> int:
@@ -1254,8 +1282,7 @@ def _cmd_analyze_summary(args: argparse.Namespace) -> int:
         print(f"quorum decisions: {summary.grants} granted, "
               f"{summary.denials} denied "
               f"(denial rate {summary.denial_rate:.3f})")
-    if args.json_out:
-        _write_json_out(args.json_out, summary.to_dict())
+    _json_out(args, summary.to_dict())
     return 0
 
 
@@ -1299,14 +1326,13 @@ def _cmd_analyze_timeline(args: argparse.Namespace) -> int:
         ))
         if len(downs) > len(shown):
             print(f"... and {len(downs) - len(shown)} more")
-    if args.json_out:
-        _write_json_out(args.json_out, {
-            "format": "repro-trace-timelines",
-            "version": 1,
-            "timelines": [
-                timelines[policy].to_dict() for policy in sorted(timelines)
-            ],
-        })
+    _json_out(args, {
+        "format": "repro-trace-timelines",
+        "version": 1,
+        "timelines": [
+            timelines[policy].to_dict() for policy in sorted(timelines)
+        ],
+    })
     return 0
 
 
@@ -1326,11 +1352,10 @@ def _cmd_analyze_audit(args: argparse.Namespace) -> int:
             kept.append(denial)
     if total == 0:
         print("no denied quorum decisions in the trace")
-        if args.json_out:
-            _write_json_out(args.json_out, {
-                "format": "repro-trace-audit", "version": 1,
-                "denials": 0, "by_rule": {}, "explanations": [],
-            })
+        _json_out(args, {
+            "format": "repro-trace-audit", "version": 1,
+            "denials": 0, "by_rule": {}, "explanations": [],
+        })
         return 0
     for denial in kept:
         where = f"t={denial.time:g}" if denial.time is not None else \
@@ -1347,23 +1372,18 @@ def _cmd_analyze_audit(args: argparse.Namespace) -> int:
         ["rule", "denials"],
         sorted(by_rule.items(), key=lambda kv: (-kv[1], kv[0])),
     ))
-    if args.json_out:
-        _write_json_out(args.json_out, {
-            "format": "repro-trace-audit",
-            "version": 1,
-            "denials": total,
-            "by_rule": dict(sorted(by_rule.items())),
-            "explanations": [denial.to_dict() for denial in kept],
-        })
+    _json_out(args, {
+        "format": "repro-trace-audit",
+        "version": 1,
+        "denials": total,
+        "by_rule": dict(sorted(by_rule.items())),
+        "explanations": [denial.to_dict() for denial in kept],
+    })
     return 0
 
 
 def _scenario_records(path: str, policy: str):
     """Replay *path* under *policy*, returning the decision records."""
-    from repro.experiments.scenarios import load_scenario, run_scenario
-    from repro.experiments.testbed import testbed_topology
-    from repro.obs.tracer import MemorySink, Tracer
-
     spec = load_scenario(path)
     sink = MemorySink(capacity=1_000_000)
     tracer = Tracer(sink, scenario=spec.name)
@@ -1383,18 +1403,11 @@ def _cmd_analyze_diff(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 "give either two trace files or --scenario, not both"
             )
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+        policies = _policy_list(args.policies, available_policies())
         if len(policies) != 2:
             raise ConfigurationError(
                 f"--policies needs exactly two names, got {policies}"
             )
-        known = available_policies()
-        for name in policies:
-            if name not in known:
-                raise ConfigurationError(
-                    f"unknown policy {name!r} in --policies; "
-                    f"choose from {', '.join(sorted(known))}"
-                )
         print(f"replaying {args.scenario} under {policies[0]} "
               f"and {policies[1]} ...", file=sys.stderr)
         records_a = _scenario_records(args.scenario, policies[0])
@@ -1442,43 +1455,23 @@ def _cmd_analyze_diff(args: argparse.Namespace) -> int:
                     for d in diff.divergences
                 ],
             ))
-    if args.json_out:
-        _write_json_out(args.json_out, diff.to_dict())
+    _json_out(args, diff.to_dict())
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    command = args.analyze_command
-    if command == "summary":
-        return _cmd_analyze_summary(args)
-    if command == "timeline":
-        return _cmd_analyze_timeline(args)
-    if command == "audit":
-        return _cmd_analyze_audit(args)
-    if command == "diff":
-        return _cmd_analyze_diff(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown analyze command {command!r}"
-    )
-
-
-def _chaos_schedule_from_args(args: argparse.Namespace, seed: int):
-    """Build a schedule from CLI knobs (run, and replay --seed)."""
-    from repro.chaos import ChaosPolicy, build_schedule
-    from repro.experiments.testbed import testbed_topology
-
-    chaos = ChaosPolicy(
-        unsafe_partial_commits=getattr(args, "unsafe_partial_commits", False)
-    )
-    placement = configuration(args.config)
-    return build_schedule(
-        seed,
-        placement.copy_sites,
-        testbed_topology().site_ids,
-        policy=chaos,
-        length=args.steps,
-        config=placement.key,
-    )
+def _policy_list(spec: str, known=None) -> list:
+    """A comma-separated ``--policies`` value as names; exit 2 when it
+    names none, or a name outside *known* (when given)."""
+    policies = [name.strip() for name in spec.split(",") if name.strip()]
+    for name in policies:
+        if known is not None and name not in known:
+            raise ConfigurationError(
+                f"unknown policy {name!r} in --policies; "
+                f"choose from {', '.join(sorted(known))}"
+            )
+    if not policies:
+        raise ConfigurationError("--policies named no protocols")
+    return policies
 
 
 def _print_chaos_violation(result) -> None:
@@ -1508,8 +1501,60 @@ def _print_chaos_violation(result) -> None:
         print(f"    {policy:<10} {verdict}: {decision.explain()}")
 
 
-def _print_chaos_result(result, out: Optional[str]) -> None:
-    schedule = result.schedule
+def _chaos_schedule(args: argparse.Namespace) -> tuple:
+    """The ``(schedule, protocol)`` a chaos command executes: loaded
+    from ``--schedule FILE`` (replay only), or built from ``--seed`` and
+    the schedule knobs.  The protocol is ``--policy``, else the one the
+    file records, else LDV."""
+    from repro.chaos import ChaosPolicy, ChaosSchedule, build_schedule
+
+    path = getattr(args, "schedule", None)
+    protocol = args.policy
+    if path is not None:
+        from repro.failures.serialization import load_chaos_document
+
+        if args.seed is not None:
+            raise ConfigurationError("give --schedule or --seed, not both")
+        document = load_chaos_document(path)
+        schedule = ChaosSchedule.from_dict(document)
+        if protocol is None:
+            protocol = document.get("protocol")
+    elif args.seed is not None:
+        placement = configuration(args.config)
+        schedule = build_schedule(
+            args.seed,
+            placement.copy_sites,
+            testbed_topology().site_ids,
+            policy=ChaosPolicy(
+                unsafe_partial_commits=args.unsafe_partial_commits),
+            length=args.steps,
+            config=placement.key,
+        )
+    else:
+        raise ConfigurationError(
+            "replay needs --schedule FILE or --seed N"
+        )
+    return schedule, "LDV" if protocol is None else protocol
+
+
+def _cmd_chaos_run(args: argparse.Namespace) -> int:
+    """``chaos run`` and ``chaos replay``: one schedule, monitor on."""
+    from repro.chaos import run_schedule
+
+    replay = args.chaos_command == "replay"
+    schedule, protocol = _chaos_schedule(args)
+    if getattr(args, "save_schedule", None):
+        from repro.failures.serialization import dump_chaos_schedule
+
+        dump_chaos_schedule(schedule, args.save_schedule,
+                            protocol=protocol)
+        print(f"schedule written to {args.save_schedule}", file=sys.stderr)
+    sink = _jsonl_sink(args.out) if args.out else None
+    try:
+        result = run_schedule(schedule, protocol, sink=sink)
+    finally:
+        if sink is not None:
+            sink.close()
     print(f"chaos run: policy {result.policy}, seed {schedule.seed}, "
           f"config {schedule.config}, {len(schedule.steps)} steps")
     print(f"  {result.operations} operations: {result.granted} granted, "
@@ -1517,43 +1562,17 @@ def _print_chaos_result(result, out: Optional[str]) -> None:
     print(f"  {result.faults_injected} faults injected, "
           f"{result.messages_sent} messages, "
           f"{result.stale_commits} stale commits tolerated"
-          + (f" -> {out}" if out else ""))
-
-
-def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from repro.chaos import run_schedule
-    from repro.obs.tracer import JsonlSink
-
-    schedule = _chaos_schedule_from_args(args, args.seed)
-    if args.save_schedule:
-        from repro.failures.serialization import dump_chaos_schedule
-
-        dump_chaos_schedule(schedule, args.save_schedule,
-                            protocol=args.policy)
-        print(f"schedule written to {args.save_schedule}", file=sys.stderr)
-    sink = None
-    if args.out:
-        try:
-            sink = JsonlSink(args.out)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write trace to {args.out}: {exc}"
-            ) from exc
-    try:
-        result = run_schedule(schedule, args.policy, sink=sink)
-    finally:
-        if sink is not None:
-            sink.close()
-    _print_chaos_result(result, args.out)
-    if result.ok:
-        print("  OK: every safety invariant held")
-    else:
+          + (f" -> {args.out}" if args.out else ""))
+    if not result.ok:
         _print_chaos_violation(result)
-    if args.json_out:
-        _write_json_out(args.json_out, result.to_dict())
-    if getattr(args, "record", False):
-        _record_note(_registry(args).record_chaos(result,
-                                                  command="chaos run"))
+    elif replay:
+        print("  no invariant violation reproduced")
+    else:
+        print("  OK: every safety invariant held")
+    _json_out(args, result.to_dict())
+    if args.record:
+        _record_note(_registry(args).record_chaos(
+            result, command=f"chaos {args.chaos_command}"))
     return 0 if result.ok else 1
 
 
@@ -1561,9 +1580,7 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosPolicy, run_sweep
     from repro.experiments.report import ascii_table
 
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if not policies:
-        raise ConfigurationError("--policies named no protocols")
+    policies = _policy_list(args.policies)
     seeds = 8 if args.quick else args.seeds
     if seeds < 1:
         raise ConfigurationError(f"--seeds must be >= 1, got {seeds}")
@@ -1573,28 +1590,21 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     print(f"chaos sweep: {len(policies)} policies x {seeds} seeds "
           f"({len(policies) * seeds} schedules of {args.steps} steps, "
           f"config {args.config}) ...", file=sys.stderr)
-    bus, live_session = _start_live(args, "chaos sweep", {
+    with _live(args, "chaos sweep", {
         "policies": policies,
         "seeds": seeds,
         "config": args.config,
         "steps": args.steps,
         "unsafe_partial_commits": args.unsafe_partial_commits,
-    })
-    try:
+    }) as live:
         report = run_sweep(
             policies=policies,
             seeds=range(seeds),
             config=args.config,
             steps=args.steps,
             chaos=chaos,
-            bus=bus,
+            bus=live.bus,
         )
-    except BaseException:
-        if live_session is not None:
-            live_session.finish("failed")
-        raise
-    if live_session is not None:
-        live_session.finish("finished")
     rows = [
         [
             row.policy, row.runs, row.operations, row.granted, row.denied,
@@ -1612,185 +1622,95 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     for row in report.rows:
         if row.first_violation is not None:
             _print_chaos_violation(row.first_violation)
-    if args.json_out:
-        _write_json_out(args.json_out, report.to_dict())
+    _json_out(args, report.to_dict())
     return 0 if report.ok else 1
 
 
-def _cmd_chaos_replay(args: argparse.Namespace) -> int:
-    from repro.chaos import run_schedule
-    from repro.obs.tracer import JsonlSink
-
-    protocol = args.policy
-    if args.schedule is not None:
-        from repro.chaos import ChaosSchedule
-        from repro.failures.serialization import load_chaos_document
-
-        document = load_chaos_document(args.schedule)
-        schedule = ChaosSchedule.from_dict(document)
-        if protocol is None:
-            protocol = document.get("protocol")
-    elif args.seed is not None:
-        schedule = _chaos_schedule_from_args(args, args.seed)
-    else:
-        raise ConfigurationError(
-            "replay needs --schedule FILE or --seed N"
-        )
-    if protocol is None:
-        protocol = "LDV"
-    sink = None
-    if args.out:
-        try:
-            sink = JsonlSink(args.out)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write trace to {args.out}: {exc}"
-            ) from exc
-    try:
-        result = run_schedule(schedule, protocol, sink=sink)
-    finally:
-        if sink is not None:
-            sink.close()
-    _print_chaos_result(result, args.out)
-    if result.ok:
-        print("  no invariant violation reproduced")
-    else:
-        _print_chaos_violation(result)
-    if args.json_out:
-        _write_json_out(args.json_out, result.to_dict())
-    if getattr(args, "record", False):
-        _record_note(_registry(args).record_chaos(result,
-                                                  command="chaos replay"))
-    return 0 if result.ok else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    command = args.chaos_command
-    if command == "run":
-        return _cmd_chaos_run(args)
-    if command == "sweep":
-        return _cmd_chaos_sweep(args)
-    if command == "replay":
-        return _cmd_chaos_replay(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown chaos command {command!r}"
-    )
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile a scenario / study / chaos workload (``repro profile``)."""
-    import pathlib
-
+def _profile(args: argparse.Namespace, target: str, workload) -> int:
+    """Run ``workload(phases)`` under the chosen profiler, then print or
+    write the report (``repro profile``)."""
     from repro.obs.prof import PhaseProfiler, run_profiled
-
-    phases = PhaseProfiler()
-    command = args.profile_command
-    if command == "scenario":
-        from repro.experiments.scenarios import load_scenario, run_scenario
-        from repro.experiments.testbed import testbed_topology
-
-        spec = load_scenario(args.file)
-        policy = args.policy if args.policy is not None else spec.policy
-        topology = testbed_topology()
-
-        def workload():
-            with phases.phase("scenario", policy=policy):
-                return run_scenario(
-                    topology, spec.copy_sites, policy, spec.steps,
-                    initial=spec.initial,
-                )
-
-        target = f"scenario:{spec.name} ({policy})"
-    elif command == "study":
-        if args.horizon is None:
-            # A profiled study defaults to a short horizon: cProfile
-            # multiplies the replay cost several-fold, and hot spots
-            # show at 4000 days just as well as at 40000.
-            args.horizon = 4000.0
-        params = _params(args)
-        configs = [configuration(key.strip())
-                   for key in args.configs.split(",") if key.strip()]
-        if not configs:
-            raise ConfigurationError("--configs named no configurations")
-        policies = [name.strip()
-                    for name in args.policies.split(",") if name.strip()]
-        known = available_policies()
-        for name in policies:
-            if name not in known:
-                raise ConfigurationError(
-                    f"unknown policy {name!r} in --policies; choose "
-                    f"from {', '.join(sorted(known))}"
-                )
-        if not policies:
-            raise ConfigurationError("--policies named no protocols")
-
-        def workload():
-            with phases.phase("study"):
-                return run_study(params, configurations=configs,
-                                 policies=policies, profiler=phases)
-
-        target = (f"study:{len(configs)}x{len(policies)} cells, "
-                  f"{params.horizon:g} days")
-    elif command == "chaos":
-        from repro.chaos import run_schedule
-
-        schedule = _chaos_schedule_from_args(args, args.seed)
-
-        def workload():
-            with phases.phase("chaos", policy=args.policy):
-                return run_schedule(schedule, args.policy,
-                                    profiler=phases)
-
-        target = (f"chaos:seed={args.seed} {args.policy} "
-                  f"x{args.steps} steps")
-    else:  # pragma: no cover - argparse enforces choices
-        raise ConfigurationError(f"unknown profile command {command!r}")
 
     if args.interval <= 0:
         raise ConfigurationError(
             f"--interval must be > 0 ms, got {args.interval}"
         )
+    phases = PhaseProfiler()
     _, report = run_profiled(
-        workload, target, engine=args.engine,
+        lambda: workload(phases), target, engine=args.engine,
         interval=args.interval / 1000.0, top=args.top, phases=phases,
     )
     text = report.format_text(args.top)
     if args.out:
-        try:
-            pathlib.Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write {args.out}: {exc}"
-            ) from exc
-        print(f"report written to {args.out}", file=sys.stderr)
+        _write(args.out, text + "\n", f"report written to {args.out}")
     else:
         print(text)
     if args.collapsed:
-        try:
-            pathlib.Path(args.collapsed).write_text(
-                "\n".join(report.collapsed) + "\n"
-            )
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write {args.collapsed}: {exc}"
-            ) from exc
-        print(f"{len(report.collapsed)} collapsed stacks written to "
-              f"{args.collapsed} (flamegraph.pl / speedscope ready)",
-              file=sys.stderr)
-    if args.json_out:
-        _write_json_out(args.json_out, report.to_dict())
-    if getattr(args, "record", False):
+        _write(args.collapsed, "\n".join(report.collapsed) + "\n",
+               f"{len(report.collapsed)} collapsed stacks written to "
+               f"{args.collapsed} (flamegraph.pl / speedscope ready)")
+    _json_out(args, report.to_dict())
+    if args.record:
         _record_note(_registry(args).record_profile(
-            report.to_dict(), command=f"profile {command}", label=target,
+            report.to_dict(), command=f"profile {args.profile_command}",
+            label=target,
         ))
     return 0
 
 
+def _cmd_profile_scenario(args: argparse.Namespace) -> int:
+    spec = load_scenario(args.file)
+    policy = args.policy if args.policy is not None else spec.policy
+    topology = testbed_topology()
+
+    def workload(phases):
+        with phases.phase("scenario", policy=policy):
+            return run_scenario(
+                topology, spec.copy_sites, policy, spec.steps,
+                initial=spec.initial,
+            )
+
+    return _profile(args, f"scenario:{spec.name} ({policy})", workload)
+
+
+def _cmd_profile_study(args: argparse.Namespace) -> int:
+    if args.horizon is None:
+        # A profiled study defaults to a short horizon: cProfile
+        # multiplies the replay cost several-fold, and hot spots
+        # show at 4000 days just as well as at 40000.
+        args.horizon = 4000.0
+    params = _params(args)
+    configs = [configuration(key.strip())
+               for key in args.configs.split(",") if key.strip()]
+    if not configs:
+        raise ConfigurationError("--configs named no configurations")
+    policies = _policy_list(args.policies, available_policies())
+
+    def workload(phases):
+        with phases.phase("study"):
+            return run_study(params, configurations=configs,
+                             policies=policies, profiler=phases)
+
+    return _profile(args, f"study:{len(configs)}x{len(policies)} cells, "
+                          f"{params.horizon:g} days", workload)
+
+
+def _cmd_profile_chaos(args: argparse.Namespace) -> int:
+    from repro.chaos import run_schedule
+
+    schedule, _ = _chaos_schedule(args)
+
+    def workload(phases):
+        with phases.phase("chaos", policy=args.policy):
+            return run_schedule(schedule, args.policy, profiler=phases)
+
+    return _profile(args, f"chaos:seed={args.seed} {args.policy} "
+                          f"x{args.steps} steps", workload)
+
+
 def _bench_full_suite() -> list:
     """Run the pytest-benchmark suite; returns its BenchmarkStats."""
-    import json
     import os
-    import pathlib
     import subprocess
     import tempfile
 
@@ -1820,9 +1740,6 @@ def _bench_full_suite() -> list:
 
 
 def _cmd_bench_record(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
     from repro.obs.prof import (
         build_point,
         ingest_pytest_benchmark,
@@ -1863,14 +1780,11 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
     else:
         index, target = next_trajectory_path(args.dir)
     point = build_point(stats, source, index=index, note=args.note)
-    try:
-        target.write_text(json.dumps(point, indent=2) + "\n")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {target}: {exc}") from exc
+    _write_json(target, point)
     label = f"point #{index}" if index is not None else "point"
     print(f"trajectory {label} written to {target} "
           f"({len(stats)} benchmarks, source {source})")
-    if getattr(args, "record", False):
+    if args.record:
         _record_note(_registry(args).record_bench(point,
                                                   command="bench record"))
     return 0
@@ -1910,8 +1824,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
                   f" vs {comparison.current_fingerprint.get(key)}")
         print("re-record on one machine, or pass --ignore-fingerprint "
               "with a --max-regression wide enough for the difference")
-        if args.json_out:
-            _write_json_out(args.json_out, comparison.to_dict())
+        _json_out(args, comparison.to_dict())
         return 1
     rows = [
         [
@@ -1943,20 +1856,8 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     else:
         print(f"\nok: no regression beyond "
               f"{comparison.max_regression:.0%} + noise")
-    if args.json_out:
-        _write_json_out(args.json_out, comparison.to_dict())
+    _json_out(args, comparison.to_dict())
     return 1 if comparison.status != "ok" else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    command = args.bench_command
-    if command == "record":
-        return _cmd_bench_record(args)
-    if command == "compare":
-        return _cmd_bench_compare(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown bench command {command!r}"
-    )
 
 
 def _parse_peer_spec(spec: str) -> dict:
@@ -2081,15 +1982,12 @@ def _print_service_summary(document: dict) -> None:
 
 
 def _cmd_service_bench(args: argparse.Namespace) -> int:
-    import json
     import shutil
     import tempfile
 
     from repro.service.bench import BenchOptions, run_bench
 
-    policies = tuple(token.strip().upper()
-                     for token in args.policies.split(",")
-                     if token.strip())
+    policies = tuple(_policy_list(args.policies.upper()))
     directory = args.dir
     temporary = directory is None
     if temporary:
@@ -2113,33 +2011,22 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
         scrape_interval=args.scrape_interval,
         availability_target=args.availability_target,
     )
-    bus, session = _start_live(args, "service bench", {
+    with _live(args, "service bench", {
         "policies": ",".join(policies),
         "replicas": args.replicas,
         "duration": args.duration,
         "seed": args.seed,
-    })
-    try:
-        document, samples, traces = run_bench(options, bus=bus)
-    except BaseException:
-        if session is not None:
-            session.finish(status="failed")
-        raise
-    run_id = None
-    if getattr(args, "record", False):
-        record = _registry(args).record_service(
-            document, command="service bench", samples=samples,
-            traces=traces, tsdb=document.get("tsdb"))
-        _record_note(record)
-        run_id = record.run_id
-    if session is not None:
-        session.finish(
-            status="finished" if document["ok"] else "failed",
-            run_id=run_id)
+    }) as live:
+        document, samples, traces = run_bench(options, bus=live.bus)
+        live.status = "finished" if document["ok"] else "failed"
+        if args.record:
+            record = _registry(args).record_service(
+                document, command="service bench", samples=samples,
+                traces=traces, tsdb=document.get("tsdb"))
+            _record_note(record)
+            live.run_id = record.run_id
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, document)
     _print_service_summary(document)
     if document["ok"]:
         if temporary:
@@ -2178,13 +2065,7 @@ def _cmd_service_trace(args: argparse.Namespace) -> int:
     from repro.obs.dtrace.render import text_waterfall
 
     registry = _registry(args)
-    if args.run == "latest":
-        record = registry.latest(kind="service")
-        if record is None:
-            raise ConfigurationError(
-                "no service runs recorded under this registry")
-    else:
-        record = registry.resolve(args.run)
+    record = _service_run(registry, args.run)
     sidecar = registry.traces_path(record.run_id)
     if not sidecar.exists():
         raise ConfigurationError(
@@ -2213,27 +2094,21 @@ def _cmd_service_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service(args: argparse.Namespace) -> int:
-    command = args.service_command
-    if command == "replica":
-        return _cmd_service_replica(args)
-    if command == "cluster":
-        return _cmd_service_cluster(args)
-    if command == "bench":
-        return _cmd_service_bench(args)
-    if command == "kill":
-        return _cmd_service_kill(args)
-    if command == "trace":
-        return _cmd_service_trace(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown service command {command!r}"
-    )
+def _service_run(registry, token: str):
+    """The recorded run *token* names; 'latest' is the newest service
+    run."""
+    if token != "latest":
+        return registry.resolve(token)
+    record = registry.latest(kind="service")
+    if record is None:
+        raise ConfigurationError(
+            "no service runs recorded under this registry")
+    return record
 
 
-def _metrics_store(args: argparse.Namespace):
-    """Resolve ``repro metrics`` source args to an open store."""
-    import pathlib
-
+def _metrics_source(args: argparse.Namespace) -> tuple:
+    """Resolve ``repro metrics`` source args to an open store and its
+    samples (only ``--policy``'s, when given)."""
     from repro.obs.tsdb import TimeSeriesStore
 
     if args.tsdb is not None:
@@ -2242,49 +2117,29 @@ def _metrics_store(args: argparse.Namespace):
             raise ConfigurationError(
                 f"no time-series store at {directory}"
             )
-        return TimeSeriesStore(directory)
-    registry = _registry(args)
-    if args.run == "latest":
-        record = registry.latest(kind="service")
-        if record is None:
-            raise ConfigurationError(
-                "no service runs recorded under this registry")
     else:
-        record = registry.resolve(args.run)
-    directory = registry.tsdb_path(record.run_id)
-    if not directory.is_dir():
-        raise ConfigurationError(
-            f"run {record.run_id} has no time-series sidecar — was the "
-            "bench run with --scrape-interval and --record?"
-        )
-    return TimeSeriesStore(directory)
-
-
-def _metrics_samples(args: argparse.Namespace, store) -> list:
-    samples = list(store.samples())
-    if args.policy is not None:
-        samples = [sample for sample in samples
-                   if sample.labels.get("policy") == args.policy]
-    return samples
-
-
-def _format_metric_value(value) -> str:
-    return "-" if value is None else f"{value:.6g}"
+        registry = _registry(args)
+        record = _service_run(registry, args.run)
+        directory = registry.tsdb_path(record.run_id)
+        if not directory.is_dir():
+            raise ConfigurationError(
+                f"run {record.run_id} has no time-series sidecar — was "
+                "the bench run with --scrape-interval and --record?"
+            )
+    store = TimeSeriesStore(directory)
+    samples = [sample for sample in store.samples()
+               if args.policy is None
+               or sample.labels.get("policy") == args.policy]
+    return store, samples
 
 
 def _cmd_metrics_query(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.tsdb import run_query
 
-    store = _metrics_store(args)
-    samples = _metrics_samples(args, store)
+    _, samples = _metrics_source(args)
     result = run_query(samples, args.selector, args.fn,
                        window=args.window, at=args.at)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _json_out(args, result)
     if not result["results"]:
         print(f"no series matched {args.selector!r}", file=sys.stderr)
         return 1
@@ -2293,8 +2148,8 @@ def _cmd_metrics_query(args: argparse.Namespace) -> int:
     for row in result["results"]:
         labels = ",".join(f'{key}="{value}"'
                           for key, value in sorted(row["labels"].items()))
-        print(f"{name.strip()}{{{labels}}} "
-              f"{_format_metric_value(row['value'])} "
+        value = "-" if row["value"] is None else f"{row['value']:.6g}"
+        print(f"{name.strip()}{{{labels}}} {value} "
               f"({row['points']} point(s))")
     if result.get("merged") is not None:
         print(f"merged {args.fn}: {result['merged']:.6g}")
@@ -2302,12 +2157,9 @@ def _cmd_metrics_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics_alerts(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.tsdb import AlertEngine, default_rules
 
-    store = _metrics_store(args)
-    samples = _metrics_samples(args, store)
+    store, samples = _metrics_source(args)
     engine = AlertEngine(store,
                          default_rules(args.duration, target=args.target))
     # Replay: evaluate at every scrape instant, in order, so the
@@ -2316,10 +2168,7 @@ def _cmd_metrics_alerts(args: argparse.Namespace) -> int:
     for instant in sorted({sample.at for sample in samples}):
         engine.evaluate(samples=samples, now=instant)
     summary = engine.summary()
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _json_out(args, summary)
     if not summary["events"]:
         print("no alert transitions over the stored series")
         return 0
@@ -2341,17 +2190,6 @@ def _cmd_metrics_alerts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    command = args.metrics_command
-    if command == "query":
-        return _cmd_metrics_query(args)
-    if command == "alerts":
-        return _cmd_metrics_alerts(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown metrics command {command!r}"
-    )
-
-
 def _registry(args: argparse.Namespace):
     """The run registry named by ``--runs-dir`` (or the default root)."""
     from repro.obs.registry import RunRegistry
@@ -2359,28 +2197,40 @@ def _registry(args: argparse.Namespace):
     return RunRegistry(getattr(args, "runs_dir", None))
 
 
-def _start_live(args: argparse.Namespace, command: str,
-                parameters: dict) -> tuple:
-    """A ``(bus, session)`` pair when ``--live`` was given, else
-    ``(None, None)`` — the no-bus path costs nothing downstream."""
+@contextlib.contextmanager
+def _live(args: argparse.Namespace, command: str, parameters: dict):
+    """The ``--live`` session around a command's body.
+
+    Yields a namespace whose ``bus`` is the telemetry bus, or None
+    without ``--live`` (the no-bus path costs nothing downstream).  The
+    body may set ``status`` and ``run_id``; the session finishes with
+    them, or as "failed" if the body raises.
+    """
+    live = argparse.Namespace(bus=None, status="finished", run_id=None)
     if not getattr(args, "live", False):
-        return None, None
+        yield live
+        return
     from repro.obs.live import TelemetryBus
     from repro.obs.live.stream import LiveSession
 
     registry = _registry(args)
-    bus = TelemetryBus()
+    live.bus = TelemetryBus()
     try:
         session = LiveSession.start(registry.root, command, parameters)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot start a live session under {registry.root}: {exc}"
         ) from exc
-    session.attach(bus)
+    session.attach(live.bus)
     print(f"live session {session.live_id} -> {session.stream_path} "
           f"(follow with 'repro watch {session.live_id[:8]}' or the "
           "/live page of 'repro serve')", file=sys.stderr)
-    return bus, session
+    try:
+        yield live
+    except BaseException:
+        session.finish("failed")
+        raise
+    session.finish(live.status, run_id=live.run_id)
 
 
 def _format_live_event(event: dict) -> str:
@@ -2456,7 +2306,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
 
     registry = _registry(args)
     cache = SummaryCache(registry)
-    watch = getattr(args, "watch", None)
+    watch = args.watch
     if watch is not None and watch <= 0:
         raise ConfigurationError(
             f"--watch must be a positive number of seconds, got {watch:g}"
@@ -2499,7 +2349,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             repaints += 1
             if watch is None:
                 return 0
-            count = getattr(args, "watch_count", None)
+            count = args.watch_count
             if count is not None and repaints >= count:
                 return 0
             sys.stdout.flush()
@@ -2533,8 +2383,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
                 size = None
             detail = f"{size} bytes" if size is not None else "missing"
             print(f"    {name}: {path.name} ({detail})")
-    if args.json_out:
-        _write_json_out(args.json_out, record.to_dict())
+    _json_out(args, record.to_dict())
     return 0
 
 
@@ -2556,8 +2405,7 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
     else:
         print(f"\nok: no availability regression beyond "
               f"{diff.max_regression:.0%} + noise")
-    if args.json_out:
-        _write_json_out(args.json_out, diff.to_dict())
+    _json_out(args, diff.to_dict())
     return 1 if diff.regressions else 0
 
 
@@ -2579,21 +2427,6 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
     print(f"{verb} {len(doomed)} run(s); "
           f"{len(registry.list_runs())} remain")
     return 0
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    command = args.runs_command
-    if command == "list":
-        return _cmd_runs_list(args)
-    if command == "show":
-        return _cmd_runs_show(args)
-    if command == "diff":
-        return _cmd_runs_diff(args)
-    if command == "gc":
-        return _cmd_runs_gc(args)
-    raise ConfigurationError(  # pragma: no cover - argparse enforces choices
-        f"unknown runs command {command!r}"
-    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -2622,7 +2455,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.serve import create_app, make_http_server
 
-    application = create_app(getattr(args, "runs_dir", None))
+    application = create_app(args.runs_dir)
     for run_dir in args.adopt or ():
         record = application.registry.adopt(run_dir)
         print(f"adopted {record.kind} run {record.run_id} "
@@ -2646,19 +2479,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Every ``--...-out``-style flag, preflighted centrally by
-#: :func:`_dispatch` so a doomed write fails before the simulation, not
-#: after it.  New commands inherit the check by reusing these attribute
-#: names.
-_OUTPUT_PATH_ATTRS = ("out", "save", "save_schedule", "json_out",
-                      "metrics_out", "collapsed")
-
-
 def _ensure_dir_writable(path: str) -> None:
     """Fail fast (exit 2) when a directory destination (``--runs-dir``)
     could not be created or written."""
     import os
-    import pathlib
 
     target = pathlib.Path(path)
     if target.exists() and not target.is_dir():
@@ -2681,7 +2505,6 @@ def _ensure_writable(path: str) -> None:
     """Fail fast (exit 2) on an unwritable output path, before hours of
     simulation would be thrown away at write time."""
     import os
-    import pathlib
 
     target = pathlib.Path(path)
     if target.is_dir():
@@ -2703,6 +2526,21 @@ def _ensure_writable(path: str) -> None:
         )
 
 
+def _preflight(args: argparse.Namespace) -> None:
+    """Fail fast (exit 2) on any destination the command would write,
+    before hours of simulation would be thrown away at write time: the
+    output paths its flags declare, and the registry root when the run
+    writes it."""
+    for dest in args.output_paths:
+        if getattr(args, dest):
+            _ensure_writable(getattr(args, dest))
+    runs_dir = getattr(args, "runs_dir", None)
+    if runs_dir and (args.registry_written
+                     or getattr(args, "record", False)
+                     or getattr(args, "live", False)):
+        _ensure_dir_writable(runs_dir)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro`` and ``python -m repro``.
 
@@ -2711,82 +2549,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     itself was misconfigured (bad paths, unknown names, malformed
     input files).
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.log_level is not None:
         from repro.obs.logging import configure_logging
 
         configure_logging(args.log_level)
     try:
-        return _dispatch(parser, args)
+        _preflight(args)
+        return args.handler(args) or 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    for attr in _OUTPUT_PATH_ATTRS:
-        value = getattr(args, attr, None)
-        if value:
-            _ensure_writable(value)
-    runs_dir = getattr(args, "runs_dir", None)
-    if runs_dir and (getattr(args, "record", False)
-                     or getattr(args, "live", False)
-                     or args.command in ("runs", "report", "serve")):
-        _ensure_dir_writable(runs_dir)
-    command = args.command
-    if command == "trace" and getattr(args, "record", False) \
-            and args.scenario is None:
-        raise ConfigurationError(
-            "trace --record requires a scenario file; ad-hoc traces are "
-            "written with --out instead"
-        )
-    if command == "testbed":
-        _cmd_testbed(args)
-    elif command in ("table2", "table3", "study"):
-        return _cmd_tables(args, command)
-    elif command == "sweep":
-        _cmd_sweep(args)
-    elif command == "placement":
-        _cmd_placement(args)
-    elif command == "trace":
-        if args.scenario is not None:
-            return _cmd_trace_scenario(args)
-        _cmd_trace(args)
-    elif command == "overhead":
-        _cmd_overhead(args)
-    elif command == "validate":
-        return _cmd_validate(args)
-    elif command == "scenario":
-        return _cmd_scenario(args)
-    elif command == "analyze":
-        return _cmd_analyze(args)
-    elif command == "chaos":
-        return _cmd_chaos(args)
-    elif command == "profile":
-        return _cmd_profile(args)
-    elif command == "bench":
-        return _cmd_bench(args)
-    elif command == "service":
-        return _cmd_service(args)
-    elif command == "metrics":
-        return _cmd_metrics(args)
-    elif command == "runs":
-        return _cmd_runs(args)
-    elif command == "report":
-        return _cmd_report(args)
-    elif command == "serve":
-        return _cmd_serve(args)
-    elif command == "watch":
-        return _cmd_watch(args)
-    elif command == "demo":
-        _cmd_demo(args)
-    else:  # pragma: no cover - argparse enforces choices
-        parser.error(f"unknown command {command!r}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

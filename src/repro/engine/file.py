@@ -216,6 +216,12 @@ class ReplicatedFile:
         self._account_operation(verdict, site_id)
         self._trace_op("op.recover", site_id, verdict)
         if not verdict.granted:
+            # MCV refreshes a stale copy's version even without a quorum;
+            # the payload must follow, or the copy would later serve old
+            # data under the new version.
+            state = self._protocol.replicas.state(site_id)
+            if self._store.version_at(site_id) < state.version:
+                self._clone_payload(site_id, verdict)
             return False
         self._clone_payload(site_id, verdict)
         new_set = verdict.newest | {site_id}

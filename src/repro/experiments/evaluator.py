@@ -39,6 +39,7 @@ from repro.net.topology import Topology
 from repro.net.views import NetworkView
 from repro.replica.state import ReplicaSet
 from repro.stats.batch_means import BatchMeans, ConfidenceInterval
+from repro.stats.summaries import quantile
 from repro.stats.tracker import AvailabilityTracker
 
 __all__ = [
@@ -187,13 +188,7 @@ class EvaluationResult:
             raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
         if not self.down_durations:
             return 0.0
-        ordered = sorted(self.down_durations)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        index = min(int(position), len(ordered) - 2)
-        fraction = position - index
-        return ordered[index] + fraction * (ordered[index + 1] - ordered[index])
+        return quantile(sorted(self.down_durations), q)
 
 
 #: Either a registry abbreviation or a factory building a protocol over a

@@ -25,6 +25,8 @@ import time as _time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Tuple
 
+from repro.stats.summaries import quantile
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import TraceRecord
 
@@ -140,13 +142,7 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self._reservoir:
             return 0.0
-        ordered = sorted(self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        index = min(int(position), len(ordered) - 2)
-        fraction = position - index
-        return ordered[index] + fraction * (ordered[index + 1] - ordered[index])
+        return quantile(sorted(self._reservoir), q)
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serialisable summary with p50/p95/p99/p99.9.

@@ -22,7 +22,7 @@ from repro.stats.distributions import (
     ShiftedExponential,
     Uniform,
 )
-from repro.stats.summaries import RunningStats
+from repro.stats.summaries import RunningStats, quantile
 from repro.stats.tracker import AvailabilityTracker, Interval
 
 __all__ = [
@@ -37,4 +37,5 @@ __all__ = [
     "RunningStats",
     "ShiftedExponential",
     "Uniform",
+    "quantile",
 ]

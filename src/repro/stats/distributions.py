@@ -15,6 +15,7 @@ import random
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.stats.summaries import quantile
 
 __all__ = [
     "Distribution",
@@ -163,14 +164,10 @@ class Empirical(Distribution):
         self._mean = sum(cleaned) / len(cleaned)
 
     def sample(self, rng: random.Random) -> float:
-        xs = self._sorted
-        if len(xs) == 1:
-            return xs[0]
-        # Position u in [0, n-1] and interpolate between order statistics.
-        u = rng.random() * (len(xs) - 1)
-        i = min(int(u), len(xs) - 2)
-        frac = u - i
-        return xs[i] + frac * (xs[i + 1] - xs[i])
+        # A single sample draws no random number.
+        if len(self._sorted) == 1:
+            return self._sorted[0]
+        return quantile(self._sorted, rng.random())
 
     @property
     def mean(self) -> float:
@@ -180,13 +177,7 @@ class Empirical(Distribution):
         """Empirical quantile for ``q`` in [0, 1] (linear interpolation)."""
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        xs = self._sorted
-        if len(xs) == 1:
-            return xs[0]
-        u = q * (len(xs) - 1)
-        i = min(int(u), len(xs) - 2)
-        frac = u - i
-        return xs[i] + frac * (xs[i + 1] - xs[i])
+        return quantile(self._sorted, q)
 
     def cdf(self, x: float) -> float:
         """Fraction of mass at or below *x*."""

@@ -1,13 +1,27 @@
-"""Streaming summary statistics (Welford's algorithm)."""
+"""Summary statistics: streaming moments (Welford's algorithm) and the
+one quantile routine."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["RunningStats"]
+__all__ = ["RunningStats", "quantile"]
+
+
+def quantile(ordered: Sequence[float], q: float) -> float:
+    """The *q*-quantile of a sorted, non-empty sequence: linear
+    interpolation between the order statistics around position
+    ``q * (n - 1)``.  Callers check ``0 <= q <= 1`` and emptiness
+    themselves, each with its own exception and empty value."""
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    index = min(int(position), len(ordered) - 2)
+    fraction = position - index
+    return ordered[index] + fraction * (ordered[index + 1] - ordered[index])
 
 
 class RunningStats:

@@ -97,6 +97,27 @@ class TestReadWrite:
         assert file.value_at(6) == "v2"
         assert file.read(6) == "v2"
 
+    def test_mcv_denied_recover_still_copies_the_payload(self):
+        """Regression (found by hypothesis): MCV's RECOVER refreshes a
+        stale copy's version without a quorum, so the payload must come
+        along even when the recovery is denied — else the copy holds the
+        old payload under the new version, and a later view change with
+        no other current copy reachable fails the store mirror."""
+        from repro.experiments.testbed import testbed_topology
+
+        cluster = Cluster(testbed_topology())
+        file = ReplicatedFile(cluster, {1, 2, 7, 8}, policy="MCV",
+                              initial="v0")
+        cluster.fail_sites([8, 2])
+        file.write(1, "v1")           # {1, 7}: half, with the tie-breaker
+        cluster.fail_site(1)
+        cluster.restart_site(8)
+        assert not file.recover_site(8)   # {7, 8}: half, without it
+        assert file.version_at(8) == 2
+        assert file.value_at(8) == "v1"
+        cluster.fail_site(7)          # 8 is the only copy left up
+        assert file.value_at(8) == "v1"
+
 
 class TestAvailabilityProbes:
     def test_is_available_tracks_quorum(self, cluster):

@@ -826,3 +826,120 @@ class TestLiveTelemetry:
         assert main(["runs", "list", "--runs-dir", str(tmp_path),
                      "--watch", "0"]) == 2
         assert "--watch" in capsys.readouterr().err
+
+
+def _command_paths(parser, path=(), chain=()):
+    """Every runnable command path as ``(argv prefix, parser chain)``:
+    parsers without a subcommand, or whose subcommand is optional."""
+    import argparse
+
+    chain = chain + (parser,)
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs or not subs[0].required:
+        yield list(path), chain
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _command_paths(child, path + (name,), chain)
+
+
+def _required_args(parser):
+    """Placeholder values for a parser's required positionals/options."""
+    import argparse
+
+    argv = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            continue
+        if not action.option_strings and action.nargs in (None, "+"):
+            argv.append("1")
+        elif action.option_strings and action.required:
+            argv += [action.option_strings[0], "1"]
+    return argv
+
+
+def _output_flags(parser):
+    """The option strings of the output paths a command declares, which
+    must be exactly its ``PATH`` flags (inputs are FILE or DIR)."""
+    dests = parser.get_default("output_paths") or ()
+    flags = [action.option_strings[0] for action in parser._actions
+             if action.dest in dests]
+    assert flags == [action.option_strings[0]
+                     for action in parser._actions
+                     if action.metavar == "PATH"]
+    return flags
+
+
+COMMAND_PATHS = [" ".join(path) for path, _ in _command_paths(build_parser())]
+
+
+class TestCommandTable:
+    """Derived from the parser itself, so a new command or output flag
+    is covered without editing these tests."""
+
+    def test_every_command_path_is_walked(self):
+        assert len(COMMAND_PATHS) == len(set(COMMAND_PATHS)) >= 38
+        assert "service replica" in COMMAND_PATHS
+        assert "serve" in COMMAND_PATHS and "serve warm" in COMMAND_PATHS
+
+    @pytest.mark.parametrize("command", COMMAND_PATHS)
+    def test_resolves_to_exactly_one_handler(self, command):
+        parser = build_parser()
+        [(path, chain)] = [(p, c) for p, c in _command_paths(parser)
+                           if " ".join(p) == command]
+        declared = [p.get_default("handler") for p in chain
+                    if p.get_default("handler") is not None]
+        assert len(declared) == 1, declared
+        args = parser.parse_args(path + _required_args(chain[-1]))
+        assert args.handler is declared[0] and callable(args.handler)
+
+    @pytest.mark.parametrize("command", COMMAND_PATHS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command.split() + ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
+    @pytest.mark.parametrize("command", COMMAND_PATHS)
+    def test_unwritable_outputs_fail_before_any_work(
+            self, command, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        parser = build_parser()
+        ran = []
+        for _, chain in _command_paths(parser):
+            for p in chain:
+                if p.get_default("handler") is not None:
+                    p.set_defaults(handler=ran.append)
+        monkeypatch.setattr(repro.cli, "build_parser", lambda: parser)
+        [(path, chain)] = [(p, c) for p, c in _command_paths(parser)
+                           if " ".join(p) == command]
+        missing = tmp_path / "no" / "such" / "dir" / "out"
+        for flag in _output_flags(chain[-1]):
+            argv = path + _required_args(chain[-1]) + [flag, str(missing)]
+            assert main(argv) == 2, argv
+            assert "cannot write" in capsys.readouterr().err, argv
+        assert ran == []
+
+
+class TestRejectedCombinations:
+    def test_replay_rejects_schedule_and_seed_together(
+            self, tmp_path, capsys):
+        schedule = tmp_path / "schedule.json"
+        assert main(["chaos", "run", "--policy", "LDV", "--seed", "3",
+                     "--steps", "20",
+                     "--save-schedule", str(schedule)]) == 0
+        capsys.readouterr()
+        assert main(["chaos", "replay", "--schedule", str(schedule),
+                     "--seed", "99"]) == 2
+        captured = capsys.readouterr()
+        assert "give --schedule or --seed, not both" in captured.err
+        assert "chaos run:" not in captured.out  # nothing was replayed
+
+    def test_trace_out_needs_a_scenario(self, tmp_path, capsys):
+        dest = tmp_path / "trace.jsonl"
+        assert main(["trace", "--horizon", "200", "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert "trace --out requires a scenario file" in captured.err
+        assert captured.out == ""
+        assert not dest.exists()

@@ -3,10 +3,14 @@
 import math
 import random
 
+import types
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.stats.summaries import RunningStats
+from repro.stats.summaries import RunningStats, quantile
 
 
 class TestRunningStats:
@@ -86,3 +90,72 @@ class TestMerge:
         a.merge(b)
         assert a.count == 1
         assert b.count == 1
+
+
+def _reference_quantile(values, q):
+    """The formula each caller of :func:`quantile` used to carry."""
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    index = min(int(position), len(ordered) - 2)
+    fraction = position - index
+    return ordered[index] + fraction * (ordered[index + 1] - ordered[index])
+
+
+class TestQuantile:
+    """The one linear-interpolation quantile, and its three callers."""
+
+    @staticmethod
+    def _callers(values, q):
+        from repro.experiments.evaluator import EvaluationResult
+        from repro.obs.metrics import Histogram
+        from repro.stats.distributions import Empirical
+
+        histogram = Histogram(reservoir_size=len(values))
+        for value in values:
+            histogram.observe(value)
+        result = types.SimpleNamespace(down_durations=list(values))
+        return {
+            "quantile": quantile(sorted(values), q),
+            "histogram": histogram.quantile(q),
+            "empirical": Empirical(values).quantile(q),
+            "evaluator": EvaluationResult.down_duration_quantile(result, q),
+        }
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+            min_size=1, max_size=60,
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_old_formula(self, values, q):
+        expected = _reference_quantile(values, q)
+        for name, got in self._callers(values, q).items():
+            assert got == expected, name
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
+    def test_one_element(self, q):
+        assert set(self._callers([3.5], q).values()) == {3.5}
+
+    def test_endpoints_are_the_extremes(self):
+        values = [4.0, 1.0, 9.0, 2.5]
+        assert set(self._callers(values, 0.0).values()) == {1.0}
+        assert set(self._callers(values, 1.0).values()) == {9.0}
+
+    def test_callers_keep_their_own_range_checks(self):
+        from repro.experiments.evaluator import EvaluationResult
+        from repro.obs.metrics import Histogram
+        from repro.stats.distributions import Empirical
+
+        with pytest.raises(ValueError):
+            Histogram().quantile(1.5)
+        with pytest.raises(ConfigurationError):
+            Empirical([1.0]).quantile(-0.1)
+        empty = types.SimpleNamespace(down_durations=[])
+        with pytest.raises(ConfigurationError):
+            EvaluationResult.down_duration_quantile(empty, 2.0)
+        assert Histogram().quantile(0.5) == 0.0
+        assert EvaluationResult.down_duration_quantile(empty, 0.5) == 0.0
