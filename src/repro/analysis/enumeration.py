@@ -16,9 +16,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Mapping
 
+from repro.core.mcv import MajorityConsensusVoting
 from repro.errors import ConfigurationError
 from repro.net.topology import Topology
 from repro.net.views import NetworkView
+from repro.replica.state import ReplicaSet
 
 __all__ = ["static_availability", "mcv_predicate", "single_copy_predicate"]
 
@@ -82,31 +84,15 @@ def mcv_predicate(
     copy_sites: frozenset[int],
     tie_break: bool = True,
 ) -> Predicate:
-    """The MCV grant test as a static predicate.
-
-    Mirrors :class:`repro.core.mcv.MajorityConsensusVoting`: some block
-    must hold a strict majority of the copies, or exactly half including
-    the maximum site when *tie_break* is on.
+    """The MCV grant test as a static predicate: whether
+    :class:`~repro.core.mcv.MajorityConsensusVoting` grants in some block
+    (a strict majority of the copies, or exactly half including the
+    maximum site when *tie_break* is on).
     """
     if not copy_sites:
         raise ConfigurationError("at least one copy site is required")
-
-    def predicate(view: NetworkView) -> bool:
-        n = len(copy_sites)
-        for block in view.blocks:
-            reachable = block & copy_sites
-            if 2 * len(reachable) > n:
-                return True
-            if (
-                tie_break
-                and reachable
-                and 2 * len(reachable) == n
-                and view.max_site(copy_sites) in reachable
-            ):
-                return True
-        return False
-
-    return predicate
+    return MajorityConsensusVoting(ReplicaSet(copy_sites),
+                                   tie_break=tie_break).is_available
 
 
 def single_copy_predicate(copy_sites: frozenset[int]) -> Predicate:

@@ -16,7 +16,8 @@ tracer and the sink for the whole run:
   delivery within a partition reliable).
   ``unsafe_partial_commits=True`` lifts the budget, for demonstrating
   the resulting fork to the monitor.
-* :class:`StaticMajorityCluster` runs MCV over the same transport.
+* every protocol, MCV included, runs through it with core's own
+  decision and COMMIT; the harness adds only faults and audits.
 * :func:`run_schedule` drives one seeded schedule; :func:`run_sweep`
   fuzzes many seeds across the protocols; :func:`explain_divergence`
   re-runs a violating schedule against a reference protocol and diffs
@@ -49,7 +50,7 @@ from repro.chaos.schedule import (
     build_schedule,
     derived_rng,
 )
-from repro.core.base import DynamicVotingFamily, Verdict
+from repro.core.base import Commit, Verdict, VotingProtocol
 from repro.core.dynamic import DynamicVoting
 from repro.core.lexicographic import LexicographicDynamicVoting
 from repro.core.mcv import MajorityConsensusVoting
@@ -57,7 +58,6 @@ from repro.core.optimistic import OptimisticDynamicVoting
 from repro.core.optimistic_topological import OptimisticTopologicalDynamicVoting
 from repro.core.topological import TopologicalDynamicVoting
 from repro.engine.actors import MessageCluster
-from repro.engine.transport import StateReply
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -91,7 +91,8 @@ CHAOS_POLICIES: tuple[str, ...] = ("MCV", "DV", "LDV", "ODV", "TDV", "OTDV")
 #: Reference protocol for diffing a broken protocol's violating trace.
 REFERENCE_POLICY: dict[str, str] = {"BROKEN-TIE": "LDV"}
 
-_DYNAMIC_PROTOCOLS: dict[str, type[DynamicVotingFamily]] = {
+_PROTOCOLS: dict[str, type[VotingProtocol]] = {
+    "MCV": MajorityConsensusVoting,
     "DV": DynamicVoting,
     "LDV": LexicographicDynamicVoting,
     "ODV": OptimisticDynamicVoting,
@@ -132,7 +133,7 @@ class AuditedCluster(MessageCluster):
         self,
         topology: Topology,
         copy_sites: frozenset[int] | set[int],
-        protocol: type[DynamicVotingFamily],
+        protocol: type[VotingProtocol],
         chaos: ChaosPolicy,
         rng: Any,
         tracer: Optional[Tracer] = None,
@@ -176,14 +177,8 @@ class AuditedCluster(MessageCluster):
 
     def replica_states(self) -> dict[int, tuple[int, int, frozenset[int]]]:
         """Every copy's actual stored ``(o, v, P)`` triple."""
-        return {
-            sid: (
-                actor.state.operation,
-                actor.state.version,
-                actor.state.partition_set,
-            )
-            for sid, actor in self._actors.items()
-        }
+        return {sid: actor.state.snapshot()
+                for sid, actor in self._actors.items()}
 
     # ------------------------------------------------------------------
     # chaos controls
@@ -200,22 +195,24 @@ class AuditedCluster(MessageCluster):
     # ------------------------------------------------------------------
     # decision audit
     # ------------------------------------------------------------------
-    def _decide(self, replies: dict[int, StateReply], view: NetworkView,
-                at_site: int) -> Verdict:
-        verdict = super()._decide(replies, view, at_site)
+    def _decide(self, at_site: int
+                ) -> tuple[VotingProtocol, Verdict, NetworkView]:
+        rules, verdict, view = super()._decide(at_site)
+        if not verdict.granted:
+            return rules, verdict, view
         self._anchor_pset = verdict.partition_set
         if self._audit_lineage:
             global_top = max(
                 actor.state.operation for actor in self._actors.values()
             )
-            anchor = replies[verdict.reference]
-            if anchor.operation < global_top:
-                raise QuorumNotReachedError(
+            anchor = rules.replicas.state(verdict.reference).operation
+            if anchor < global_top:
+                verdict = verdict.decided(
+                    False,
                     "stale generation: a newer commit exists at an "
                     "unreachable copy (omniscient lineage audit, "
-                    f"o={anchor.operation} < {global_top})"
-                )
-        return verdict
+                    f"o={anchor} < {global_top})")
+        return rules, verdict, view
 
     # ------------------------------------------------------------------
     # commit faults
@@ -277,9 +274,9 @@ class AuditedCluster(MessageCluster):
                 return keep
         return None
 
-    def _commit(self, at_site: int, view: NetworkView,
-                members: frozenset[int], operation: int, version: int,
+    def _commit(self, at_site: int, view: NetworkView, commit: Commit,
                 payload: Any = None, carries_payload: bool = False) -> None:
+        members = commit.recipients
         if self._flap_armed:
             self._flap_armed = False
             victim = self._pick_flap_victim(view, at_site, members)
@@ -298,160 +295,24 @@ class AuditedCluster(MessageCluster):
                 view = self.view()
         keep = self._partial_commit_keep(view, at_site, members)
         if keep is None:
-            super()._commit(at_site, view, members, operation, version,
-                            payload, carries_payload)
+            super()._commit(at_site, view, commit, payload, carries_payload)
             return
         assert self._commit_stage is not None
         self._commit_stage.arm(keep)
         try:
-            super()._commit(at_site, view, members, operation, version,
-                            payload, carries_payload)
+            super()._commit(at_site, view, commit, payload, carries_payload)
         finally:
             self._commit_stage.disarm()
 
 
 class StaticMajorityCluster(AuditedCluster):
-    """MCV over the same message transport.
+    """An :class:`AuditedCluster` running MCV."""
 
-    The base class's plumbing (START broadcast, reply collection, COMMIT
-    fan-out, commit faults) is reused unchanged; the dynamic-family
-    protocol passed to the base constructor is a placeholder the
-    overridden decision logic below never consults.  Semantics follow
-    :class:`~repro.core.mcv.MajorityConsensusVoting`: the denominator is
-    the full static copy set, a read commits nothing, a write installs
-    ``(v+1, v+1)`` at the responders, and RECOVER silently refreshes the
-    copy from a newer reachable one (a restarted copy votes again
-    immediately).
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        copy_sites: frozenset[int] | set[int],
-        chaos: ChaosPolicy,
-        rng: Any,
-        tracer: Optional[Tracer] = None,
-        pipeline: Sequence[Any] = (),
-        commit_stage: Optional[PartialCommitStage] = None,
-        initial: Any = None,
-    ):
-        super().__init__(
-            topology,
-            copy_sites,
-            LexicographicDynamicVoting,  # placeholder; never consulted
-            chaos,
-            rng,
-            tracer=tracer,
-            pipeline=pipeline,
-            commit_stage=commit_stage,
-            initial=initial,
-        )
-        self._audit_lineage = False
-        # MCV's denominator never changes; neither does the budget's.
-        self._anchor_pset = frozenset(copy_sites)
-
-    def probe_rules(self) -> Any:
-        return MajorityConsensusVoting
-
-    def _decide(self, replies: dict[int, StateReply], view: NetworkView,
-                at_site: int) -> Verdict:
-        if not replies:
-            raise QuorumNotReachedError(
-                f"no copies answered the START from site {at_site}"
-            )
-        copies = self._copy_sites
-        responders = frozenset(replies)
-        quorum = len(copies) // 2 + 1
-        granted = 2 * len(responders) > len(copies)
-        winner: Optional[int] = None
-        if not granted and 2 * len(responders) == len(copies):
-            top = view.max_site(copies)
-            if top in responders:
-                granted = True
-                winner = top
-        newest_version = max(reply.version for reply in replies.values())
-        newest = frozenset(
-            sid for sid, reply in replies.items()
-            if reply.version == newest_version
-        )
-        reference = min(newest)
-        reason = "" if granted else (
-            f"{len(responders)} of {len(copies)} copies reachable, "
-            f"quorum is {quorum}"
-        )
-        if self._tracer is not None:
-            self._tracer.record(
-                "quorum.granted" if granted else "quorum.denied",
-                policy="MCV",
-                block=view.block_of(at_site),
-                reachable=responders,
-                counted=responders,
-                partition_set=copies,
-                reference=reference,
-                operation=replies[reference].operation,
-                version=newest_version,
-                reason=reason,
-            )
-            if winner is not None:
-                self._tracer.record(
-                    "tiebreak.lexicographic",
-                    policy="MCV",
-                    partition_set=copies,
-                    winner=winner,
-                    granted=granted,
-                )
-        if not granted:
-            raise QuorumNotReachedError(
-                f"majority test failed at site {at_site}: {reason}"
-            )
-        return Verdict(
-            granted=True,
-            block=view.block_of(at_site),
-            reachable=responders,
-            current=responders,
-            newest=newest,
-            counted=responders,
-            partition_set=copies,
-            reference=reference,
-        )
-
-    def read(self, at_site: int) -> Any:
-        """MCV READ: majority check, newest responder's payload, no
-        state change."""
-        replies, view = self._start(at_site)
-        verdict = self._decide(replies, view, at_site)
-        return self._fetch_payload(at_site, min(verdict.newest), view)
-
-    def write(self, at_site: int, value: Any) -> None:
-        """MCV WRITE: install ``max version + 1`` at the responders."""
-        replies, view = self._start(at_site)
-        verdict = self._decide(replies, view, at_site)
-        new_version = replies[verdict.reference].version + 1
-        self._commit(at_site, view, verdict.reachable,
-                     new_version, new_version,
-                     payload=value, carries_payload=True)
-
-    def recover(self, at_site: int) -> bool:
-        """MCV RECOVER: vote again immediately, refreshing from a newer
-        reachable copy when one answered; no quorum needed."""
-        if at_site not in self._copy_sites:
-            raise ConfigurationError(f"no copy at site {at_site}")
-        replies, view = self._start(at_site)
-        me = self._actors[at_site]
-        newest_version = max(reply.version for reply in replies.values())
-        if me.state.version < newest_version:
-            source = min(
-                sid for sid, reply in replies.items()
-                if reply.version == newest_version
-            )
-            data = self._exchange_data(at_site, source, view)
-            me.payload = data.payload
-            me.payload_version = data.version
-            # A silent local refresh, not a quorum commit: keep o == v
-            # and the copy's own (static) partition set.
-            me.state.commit(data.version, data.version,
-                            me.state.partition_set)
-        return True
+    def __init__(self, topology: Topology,
+                 copy_sites: frozenset[int] | set[int], chaos: ChaosPolicy,
+                 rng: Any, **options: Any):
+        super().__init__(topology, copy_sites, MajorityConsensusVoting,
+                         chaos, rng, **options)
 
 
 @dataclass
@@ -519,14 +380,8 @@ def _build_cluster(name: str, schedule: ChaosSchedule, topology: Topology,
         commit_stage=commit_stage,
         initial="v0",
     )
-    if name == "MCV":
-        cluster: AuditedCluster = StaticMajorityCluster(
-            topology, schedule.copy_sites, **common
-        )
-    else:
-        cluster = AuditedCluster(
-            topology, schedule.copy_sites, _DYNAMIC_PROTOCOLS[name], **common
-        )
+    cluster = AuditedCluster(topology, schedule.copy_sites, _PROTOCOLS[name],
+                             **common)
     return cluster, stages
 
 

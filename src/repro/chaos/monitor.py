@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+from repro.core.rounds import decide
 from repro.errors import ReproError
 from repro.net.views import NetworkView
 from repro.obs.tracer import NullSink, TraceRecord
@@ -301,20 +302,17 @@ def check_exclusion(
 ) -> tuple[frozenset[int], ...]:
     """The active mutual-exclusion probe.
 
-    Rebuilds a :class:`ReplicaSet` from the actual per-site ``(o, v, P)``
-    triples, evaluates the protocol's majority test in *every* partition
-    block of *view*, and raises (via *monitor* when given) if two or
-    more disjoint blocks would be granted simultaneously.  Returns the
+    Runs the core decision (:func:`repro.core.rounds.decide`) over the
+    actual per-site ``(o, v, P)`` triples in *every* partition block of
+    *view*, and raises (via *monitor* when given) if two or more
+    disjoint blocks would be granted simultaneously.  Returns the
     granting blocks otherwise (at most one for a safe protocol).
     """
-    snapshot = ReplicaSet(states.keys())
-    for sid, (operation, version, members) in states.items():
-        snapshot.state(sid).commit(operation, version, members)
-    rules = rules_factory(snapshot)
     granting = tuple(
         block
         for block in view.blocks
-        if block & copy_sites and rules.evaluate_block(view, block).granted
+        if block & copy_sites
+        and decide(rules_factory, states, view, copy_sites, block)[1].granted
     )
     if len(granting) >= 2:
         detail = (

@@ -13,6 +13,7 @@ and the READ / WRITE / RECOVER procedures of Figures 1–3 (and, with the
    claimable set ``T`` instead of ``Q``;
 6. COMMIT — install ``(o_m + 1, v', S')`` at every site of the new
    partition set ``S'``.
+   Each protocol states it once, as :meth:`VotingProtocol.commit_for`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import abc
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional
 
 from repro.errors import ConfigurationError, ProtocolError, QuorumNotReachedError
 from repro.net.sites import SiteSet, as_mask, lowest_site, mask_sites
@@ -32,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Tracer
 
 __all__ = [
+    "Commit",
     "CommitRecord",
     "DynamicVotingFamily",
     "OperationKind",
@@ -65,6 +67,33 @@ class CommitRecord:
     operation: int
     version: int
     members: frozenset[int]
+
+
+class Commit(NamedTuple):
+    """One COMMIT (see :meth:`VotingProtocol.commit_for`): the new
+    ``(o, v, P)`` and the sites that install it, as masks.
+
+    ``kind`` is ``"read"``, ``"write"``, ``"recover"``, ``"adjust"`` (the
+    eager null operation), ``"promote"`` / ``"demote"`` (witness
+    conversions) or ``"refresh"``: a static protocol's RECOVER, which
+    copies the newest version with no quorum and no COMMIT message.
+    """
+
+    kind: str
+    operation: int
+    version: int
+    partition_mask: int
+    recipient_mask: int  #: ``P`` itself for the dynamic protocols
+
+    partition_set = property(lambda self: mask_sites(self.partition_mask))
+    recipients = property(lambda self: mask_sites(self.recipient_mask))
+
+
+#: ``(kind, whether a joining site l is given)`` of every COMMIT kind:
+#: RECOVER and the witness conversions add ``l`` to ``S``.
+_COMMIT_KINDS = frozenset({("read", False), ("write", False),
+                          ("adjust", False), ("recover", True),
+                          ("promote", True), ("demote", True)})
 
 
 def _set_field(slot: str, doc: str) -> tuple[property, property]:
@@ -267,24 +296,6 @@ class VotingProtocol(abc.ABC):
                 granted=verdict.granted,
             )
 
-    def _trace_commit(self, kind: str, operation: int, version: int,
-                      members: int) -> None:
-        """Emit a ``commit.applied`` record (tracer attached only).
-
-        The committed ``(o, v, P)`` triple is the invariant monitor's
-        state-level feed: monotonicity and partition-set containment are
-        checked against the stream of these records.
-        """
-        if self._tracer is not None:
-            self._tracer.record(
-                "commit.applied",
-                policy=self.name,
-                commit_kind=kind,
-                operation=operation,
-                version=version,
-                members=mask_sites(members),
-            )
-
     # ------------------------------------------------------------------
     @property
     def replicas(self) -> ReplicaSet:
@@ -316,13 +327,6 @@ class VotingProtocol(abc.ABC):
                 "commit history is off; call enable_history() first"
             )
         return tuple(self._history)
-
-    def _record(self, kind: str, operation: int, version: int,
-                members: int) -> None:
-        if self._history is not None:
-            self._history.append(
-                CommitRecord(kind, operation, version, mask_sites(members))
-            )
 
     @property
     def copy_sites(self) -> frozenset[int]:
@@ -387,6 +391,65 @@ class VotingProtocol(abc.ABC):
             for block in view.block_masks
             if block & copies and self.evaluate_block(view, block).granted
         )
+
+    # ------------------------------------------------------------------
+    # COMMIT
+    # ------------------------------------------------------------------
+    def commit_for(self, verdict: Verdict, kind: str,
+                   site: Optional[int] = None) -> Optional[Commit]:
+        """The COMMIT a *kind* operation performs after *verdict*, or
+        ``None`` when it commits nothing (here: a denial).
+
+        Figures 1–3: ``COMMIT(S, o_m + 1, v_m [+1], S)`` for READ, WRITE
+        (the ``+1``) and the null ``"adjust"``; ``COMMIT(S ∪ {l}, o_m + 1,
+        v_m, S ∪ {l})`` for RECOVER and the witness conversions, *site*
+        being ``l``.  Static protocols override it.
+
+        Raises:
+            ConfigurationError: for an unknown *kind*, or *site* given
+                without a joining kind or missing from one.
+        """
+        if (kind, site is not None) not in _COMMIT_KINDS:
+            raise ConfigurationError(f"no {kind!r} commit with site={site}")
+        if not verdict.granted:
+            return None
+        anchor = self._replicas.state(verdict.reference)
+        members = verdict.newest_mask
+        if site is not None:
+            members |= 1 << site
+        return Commit(kind, anchor.operation + 1,
+                      anchor.version + (kind == "write"), members, members)
+
+    def _operate(self, view: NetworkView, site_id: int, kind: str,
+                 joining: Optional[int] = None) -> Verdict:
+        """The majority test for an access from *site_id*, then its COMMIT."""
+        verdict = self.evaluate_block(
+            view, self._block_for_request(view, site_id))
+        self._commit(verdict, kind, joining)
+        return verdict
+
+    def _commit(self, verdict: Verdict, kind: str,
+                site: Optional[int] = None) -> None:
+        """Apply :meth:`commit_for`'s COMMIT, if there is one."""
+        commit = self.commit_for(verdict, kind, site)
+        if commit is not None:
+            self._apply(commit)
+
+    def _apply(self, commit: Commit) -> None:
+        """Install *commit* in memory.  With history on it is recorded;
+        with a tracer attached it is emitted as ``commit.applied``, the
+        invariant monitor's state-level feed."""
+        self._replicas.commit(commit.operation, commit.version,
+                              commit.partition_mask, commit.recipient_mask)
+        if self._history is not None:
+            self._history.append(CommitRecord(
+                commit.kind, commit.operation, commit.version,
+                commit.partition_set))
+        if self._tracer is not None:
+            self._tracer.record(
+                "commit.applied", policy=self.name, commit_kind=commit.kind,
+                operation=commit.operation, version=commit.version,
+                members=commit.partition_set)
 
     # ------------------------------------------------------------------
     # state-changing operations
@@ -589,31 +652,19 @@ class DynamicVotingFamily(VotingProtocol):
     # Figures 1/2 (5/6): READ and WRITE
     # ------------------------------------------------------------------
     def read(self, view: NetworkView, site_id: int) -> Verdict:
-        return self._operate(view, site_id, OperationKind.READ)
+        return self._operate(view, site_id, "read")
 
     def write(self, view: NetworkView, site_id: int) -> Verdict:
-        return self._operate(view, site_id, OperationKind.WRITE)
+        return self._operate(view, site_id, "write")
 
-    def _operate(self, view: NetworkView, site_id: int, kind: OperationKind) -> Verdict:
-        block = self._block_for_request(view, site_id)
-        verdict = self.evaluate_block(view, block)
-        if verdict.granted:
-            self._commit(verdict, kind.value, verdict.newest_mask,
-                         bump=int(kind is OperationKind.WRITE))
-        return verdict
-
-    def _commit(self, verdict: Verdict, kind: str, members: int,
-                bump: int = 0) -> None:
-        """COMMIT(members, o_m + 1, v_m + bump, members)."""
-        if self.topological and verdict.counted_mask & ~verdict.reachable_mask:
-            self.claimed_vote_grants += 1
-        assert verdict.reference is not None
-        anchor = self._replicas.state(verdict.reference)
-        operation = anchor.operation + 1
-        version = anchor.version + bump
-        self._replicas.commit(operation, version, members)
-        self._record(kind, operation, version, members)
-        self._trace_commit(kind, operation, version, members)
+    def _commit(self, verdict: Verdict, kind: str,
+                site: Optional[int] = None) -> None:
+        commit = self.commit_for(verdict, kind, site)
+        if commit is not None:
+            if (self.topological
+                    and verdict.counted_mask & ~verdict.reachable_mask):
+                self.claimed_vote_grants += 1
+            self._apply(commit)
 
     # ------------------------------------------------------------------
     # Figure 3 (7): RECOVER
@@ -631,9 +682,7 @@ class DynamicVotingFamily(VotingProtocol):
 
     def _recover(self, view: NetworkView, block: int, site_id: int) -> Verdict:
         verdict = self.evaluate_block(view, block)
-        if verdict.granted:
-            self._commit(verdict, "recover",
-                         verdict.newest_mask | 1 << site_id)
+        self._commit(verdict, "recover", site_id)
         return verdict
 
     # ------------------------------------------------------------------
@@ -650,7 +699,7 @@ class DynamicVotingFamily(VotingProtocol):
                 continue
             if verdict.granted and verdict.partition_mask != verdict.newest_mask:
                 # Null operation: quorum adjustment without data movement.
-                self._commit(verdict, "adjust", verdict.newest_mask)
+                self._commit(verdict, "adjust")
                 return self.evaluate(view)
             return verdict
         raise ProtocolError("synchronize failed to converge")  # pragma: no cover

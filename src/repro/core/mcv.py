@@ -12,9 +12,9 @@ exactly the weakness dynamic voting removes.
 
 from __future__ import annotations
 
-from typing import ClassVar
+from typing import ClassVar, Optional
 
-from repro.core.base import OperationKind, Verdict, VotingProtocol
+from repro.core.base import _COMMIT_KINDS, Commit, Verdict, VotingProtocol
 from repro.errors import ConfigurationError
 from repro.net.sites import SiteSet, as_mask, lowest_site
 from repro.net.views import NetworkView
@@ -102,46 +102,43 @@ class MajorityConsensusVoting(VotingProtocol):
         return verdict
 
     # ------------------------------------------------------------------
+    def commit_for(self, verdict: Verdict, kind: str,
+                   site: Optional[int] = None) -> Optional[Commit]:
+        """MCV's COMMIT.  A granted WRITE installs ``(v + 1, v + 1, P)``
+        at every reachable copy, ``v`` the newest reachable version (``o``
+        mirrors ``v``; ``P`` stays the static copy set).  READ commits
+        nothing.  RECOVER needs no quorum: a copy behind the newest
+        reachable version refreshes to it (kind ``"refresh"``)."""
+        if (kind, site is not None) not in _COMMIT_KINDS:
+            raise ConfigurationError(f"no {kind!r} commit with site={site}")
+        if kind not in ("write", "recover") or verdict.reference is None:
+            return None
+        newest = self._replicas.state(verdict.reference).version
+        copies = self._replicas.copy_mask
+        if kind == "recover":
+            if self._replicas.state(site).version >= newest:
+                return None
+            return Commit("refresh", newest, newest, copies, 1 << site)
+        if not verdict.granted:
+            return None
+        return Commit(kind, newest + 1, newest + 1, copies,
+                      verdict.reachable_mask)
+
     def read(self, view: NetworkView, site_id: int) -> Verdict:
         """Reads collect a majority and use its newest copy; no state change."""
-        block = self._block_for_request(view, site_id)
-        return self.evaluate_block(view, block)
+        return self._operate(view, site_id, "read")
 
     def write(self, view: NetworkView, site_id: int) -> Verdict:
         """Writes install ``max version + 1`` at every reachable copy."""
-        block = self._block_for_request(view, site_id)
-        verdict = self.evaluate_block(view, block)
-        if not verdict.granted:
-            return verdict
-        assert verdict.reference is not None
-        new_version = self._replicas.state(verdict.reference).version + 1
-        for state in self._replicas.states_in(verdict.reachable_mask):
-            # Keep o == v: MCV has no separate operation counter.
-            state.commit(new_version, new_version, state.partition_mask)
-        return verdict
+        return self._operate(view, site_id, "write")
 
     def recover(self, view: NetworkView, site_id: int) -> Verdict:
         """A restarted copy votes again immediately; it refreshes its data
         (version) if a newer reachable copy exists, but needs no quorum —
         staleness is caught by version comparison inside later quorums."""
         self._require_copy(site_id)
-        block = self._block_for_request(view, site_id)
-        verdict = self.evaluate_block(view, block)
-        newest_version = self._replicas.max_version(verdict.reachable)
-        state = self._replicas.state(site_id)
-        if state.version < newest_version:
-            state.commit(newest_version, newest_version, state.partition_mask)
-        return verdict
+        return self._operate(view, site_id, "recover", site_id)
 
     def synchronize(self, view: NetworkView) -> Verdict:
         """MCV keeps no dynamic quorum state; nothing to do."""
         return self.evaluate(view)
-
-    # ------------------------------------------------------------------
-    def operate(self, view: NetworkView, site_id: int, kind: OperationKind) -> Verdict:
-        """Dispatch helper used by the engine."""
-        if kind is OperationKind.READ:
-            return self.read(view, site_id)
-        if kind is OperationKind.WRITE:
-            return self.write(view, site_id)
-        return self.recover(view, site_id)

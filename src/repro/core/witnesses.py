@@ -109,7 +109,7 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
         # Data is cloned from a newest full copy (the grant guarantees
         # one is reachable); then the site participates as a full copy.
         self._witnesses = self._witnesses - {site_id}
-        self._convert(verdict, "promote", site_id)
+        self._commit(verdict, "promote", site_id)
         return verdict
 
     def demote(self, view: NetworkView, site_id: int) -> Verdict:
@@ -141,17 +141,8 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
                 "orphan the current data"
             )
         self._witnesses = self._witnesses | {site_id}
-        self._convert(verdict, "demote", site_id)
+        self._commit(verdict, "demote", site_id)
         return verdict
-
-    def _convert(self, verdict: Verdict, kind: str, site_id: int) -> None:
-        """COMMIT(S ∪ {l}, o_m + 1, v_m, S ∪ {l}), as in RECOVER."""
-        assert verdict.reference is not None
-        anchor = self._replicas.state(verdict.reference)
-        members = verdict.newest_mask | 1 << site_id
-        operation = anchor.operation + 1
-        self._replicas.commit(operation, anchor.version, members)
-        self._record(kind, operation, anchor.version, members)
 
 
 class TopologicalDynamicVotingWithWitnesses(DynamicVotingWithWitnesses):

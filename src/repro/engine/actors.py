@@ -8,6 +8,10 @@ actually received*, and sends COMMITs.  Nothing reads another site's
 state directly, so this layer demonstrates that the protocols need only
 message-visible information.
 
+The coordinator decides with :func:`repro.core.rounds.decide` and
+broadcasts the protocol's :meth:`~repro.core.base.VotingProtocol.
+commit_for`, so any core protocol class runs here unchanged.
+
 Two deliberate consequences:
 
 * the optimistic protocols' efficiency is visible as plain message
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Type
 
-from repro.core.base import DynamicVotingFamily
+from repro.core.base import Commit, Verdict, VotingProtocol
 from repro.core.lexicographic import LexicographicDynamicVoting
+from repro.core.rounds import decide
 from repro.engine.transport import (
     CommitMessage,
     DataReply,
@@ -49,7 +54,7 @@ from repro.errors import (
 from repro.net.topology import Topology
 from repro.net.views import NetworkView
 from repro.obs.tracer import Tracer
-from repro.replica.state import ReplicaSet, ReplicaState
+from repro.replica.state import ReplicaState
 
 __all__ = ["SiteActor", "MessageCluster"]
 
@@ -151,8 +156,8 @@ class MessageCluster:
     Args:
         topology: The network.
         copy_sites: Sites holding copies (each becomes an actor).
-        protocol: A :class:`DynamicVotingFamily` subclass supplying the
-            decision rules (tie-break / topological flags).  The
+        protocol: A core :class:`~repro.core.base.VotingProtocol`
+            subclass supplying the decision rules and the COMMIT.  The
             coordinator evaluates them over the replies it collected;
             the lineage guard is forced off (see module docstring).
         initial: Initial payload.
@@ -166,7 +171,7 @@ class MessageCluster:
         self,
         topology: Topology,
         copy_sites: frozenset[int] | set[int],
-        protocol: Type[DynamicVotingFamily] = LexicographicDynamicVoting,
+        protocol: Type[VotingProtocol] = LexicographicDynamicVoting,
         initial: Any = None,
         tracer: Optional[Tracer] = None,
         pipeline: Sequence[FaultStage] = (),
@@ -176,16 +181,16 @@ class MessageCluster:
         unknown = copy_sites - topology.site_ids
         if unknown:
             raise ConfigurationError(f"copy sites {sorted(unknown)} unknown")
-        if not issubclass(protocol, DynamicVotingFamily):
+        if not (isinstance(protocol, type)
+                and issubclass(protocol, VotingProtocol)):
             raise ConfigurationError(
-                "MessageCluster runs the dynamic-voting family; got "
-                f"{protocol!r}"
+                f"MessageCluster runs a core protocol class; got {protocol!r}"
             )
         self._topology = topology
         self._copy_sites = copy_sites
         self._tracer = tracer
         # The published rule: decisions use only message-visible state.
-        self._rules: Type[DynamicVotingFamily] = type(
+        self._rules: Type[VotingProtocol] = type(
             f"_MessageLevel{protocol.__name__}",
             (protocol,),
             {"lineage_guard": False},
@@ -247,59 +252,64 @@ class MessageCluster:
         """READ from *at_site*, purely by messages (Figure 1/5)."""
         if self._profiler is not None:
             self._profiler.count("engine.op.read")
-        replies, view = self._start(at_site)
-        verdict = self._decide(replies, view, at_site)
-        newest = verdict.newest
-        value = self._fetch_payload(at_site, min(newest), view)
-        anchor = replies[min(verdict.current)]
-        self._commit(at_site, view, newest,
-                     anchor.operation + 1, anchor.version)
+        rules, verdict, view = self._granted(at_site)
+        value = self._exchange_data(at_site, min(verdict.newest),
+                                    view).payload
+        commit = rules.commit_for(verdict, "read")
+        if commit is not None:
+            self._commit(at_site, view, commit)
         return value
 
     def write(self, at_site: int, value: Any) -> None:
         """WRITE from *at_site* (Figure 2/6): payload rides the COMMIT."""
         if self._profiler is not None:
             self._profiler.count("engine.op.write")
-        replies, view = self._start(at_site)
-        verdict = self._decide(replies, view, at_site)
-        anchor = replies[min(verdict.current)]
-        self._commit(at_site, view, verdict.newest,
-                     anchor.operation + 1, anchor.version + 1,
+        rules, verdict, view = self._granted(at_site)
+        self._commit(at_site, view, rules.commit_for(verdict, "write"),
                      payload=value, carries_payload=True)
 
     def recover(self, at_site: int) -> bool:
-        """One RECOVER attempt by the copy at *at_site* (Figure 3/7)."""
+        """One RECOVER attempt by the copy at *at_site* (Figure 3/7).
+
+        Returns whether the majority test granted it.  A static
+        protocol's RECOVER (a ``"refresh"`` commit) needs no quorum: the
+        copy fetches the newest payload and installs the refresh
+        locally, with no COMMIT message.
+        """
         if at_site not in self._copy_sites:
             raise ConfigurationError(f"no copy at site {at_site}")
         if self._profiler is not None:
             self._profiler.count("engine.op.recover")
-        try:
-            replies, view = self._start(at_site)
-            verdict = self._decide(replies, view, at_site)
-        except QuorumNotReachedError:
-            return False
-        anchor = replies[min(verdict.current)]
+        rules, verdict, view = self._decide(at_site)
+        commit = rules.commit_for(verdict, "recover", at_site)
+        if commit is None:
+            return verdict.granted
         me = self._actors[at_site]
-        if me.state.version < anchor.version:
+        if me.state.version < commit.version:
             source = min(verdict.newest)
             payload_reply = self._exchange_data(at_site, source, view)
             me.payload = payload_reply.payload
             me.payload_version = payload_reply.version
-        self._commit(at_site, view, verdict.newest | {at_site},
-                     anchor.operation + 1, anchor.version)
-        return True
+        if commit.kind == "refresh":
+            me.state.commit(commit.operation, commit.version,
+                            commit.partition_mask)
+        else:
+            self._commit(at_site, view, commit)
+        return verdict.granted
 
     def is_available_from(self, at_site: int) -> bool:
         """Probe by actually running the START round (messages count)."""
         try:
-            replies, view = self._start(at_site)
-            self._decide(replies, view, at_site)
-            return True
+            return self._decide(at_site)[1].granted
         except (QuorumNotReachedError, SiteUnavailableError):
             return False
 
     # ------------------------------------------------------------------
-    def _start(self, at_site: int) -> tuple[dict[int, StateReply], NetworkView]:
+    def _start(self, at_site: int
+               ) -> tuple[dict[int, tuple[int, int, frozenset[int]]],
+                          NetworkView]:
+        """The START round: ``{site: (o, v, P)}`` of every copy that
+        answered, and the view it ran under."""
         view = self.view()
         if at_site not in self._topology.site_ids:
             raise ConfigurationError(f"no site {at_site}")
@@ -318,51 +328,40 @@ class MessageCluster:
         for sid in sorted(peers & frozenset(self._actors)):
             if sid in view.up:
                 self._actors[sid].step(view, self.network)
-        replies: dict[int, StateReply] = {}
+        states: dict[int, tuple[int, int, frozenset[int]]] = {}
         for message in self._mailboxes[at_site].drain():
             # Replies delayed past their operation (round) are stale
             # protocol state and must not enter this decision.
             if isinstance(message, StateReply) and \
                     message.round_id == round_id:
-                replies[message.sender] = message
+                states[message.sender] = (message.operation,
+                                          message.version,
+                                          message.partition_set)
         if at_site in self._actors:
-            me = self._actors[at_site]
-            replies[at_site] = StateReply(
-                sender=at_site,
-                receiver=at_site,
-                operation=me.state.operation,
-                version=me.state.version,
-                partition_set=me.state.partition_set,
-            )
-        return replies, view
+            states[at_site] = self._actors[at_site].state.snapshot()
+        return states, view
 
-    def _decide(self, replies: dict[int, StateReply], view: NetworkView,
-                at_site: int):
-        if not replies:
+    def _decide(self, at_site: int
+                ) -> tuple[VotingProtocol, Verdict, NetworkView]:
+        """START, then the core decision over the copies that answered."""
+        states, view = self._start(at_site)
+        if not states:
             raise QuorumNotReachedError(
                 f"no copies answered the START from site {at_site}"
             )
-        snapshot = ReplicaSet(replies.keys())
-        for sid, reply in replies.items():
-            snapshot.state(sid).commit(
-                reply.operation, reply.version, reply.partition_set
-            )
-        rules = self._rules(snapshot)
-        if self._tracer is not None:
-            rules.attach_tracer(self._tracer)
-        verdict = rules.evaluate_block(view, view.block_of(at_site))
+        rules, verdict = decide(self._rules, states, view,
+                                self._copy_sites, tracer=self._tracer)
+        return rules, verdict, view
+
+    def _granted(self, at_site: int
+                 ) -> tuple[VotingProtocol, Verdict, NetworkView]:
+        """:meth:`_decide`, raising unless the majority test granted."""
+        rules, verdict, view = self._decide(at_site)
         if not verdict.granted:
             raise QuorumNotReachedError(
                 f"majority test failed at site {at_site}: {verdict.reason}"
             )
-        return verdict
-
-    def _fetch_payload(self, at_site: int, source: int,
-                       view: NetworkView) -> Any:
-        if source == at_site:
-            return self._actors[at_site].payload
-        reply = self._exchange_data(at_site, source, view)
-        return reply.payload
+        return rules, verdict, view
 
     def _exchange_data(self, at_site: int, source: int,
                        view: NetworkView) -> DataReply:
@@ -384,18 +383,20 @@ class MessageCluster:
         # was dropped or delayed, so the read aborts before its COMMIT.
         raise EngineError(f"no data reply from site {source}")
 
-    def _commit(self, at_site: int, view: NetworkView,
-                members: frozenset[int], operation: int, version: int,
+    def _commit(self, at_site: int, view: NetworkView, commit: Commit,
                 payload: Any = None, carries_payload: bool = False) -> None:
+        """Broadcast *commit* to its recipients and let them apply it."""
+        recipients = commit.recipients
+        partition_set = commit.partition_set
         self.network.broadcast(
-            view, at_site, members,
+            view, at_site, recipients,
             lambda src, dst: CommitMessage(
                 sender=src, receiver=dst, round_id=self._round,
-                operation=operation, version=version,
-                partition_set=members,
+                operation=commit.operation, version=commit.version,
+                partition_set=partition_set,
                 payload=payload, carries_payload=carries_payload,
             ),
         )
-        for sid in sorted(members):
+        for sid in sorted(recipients):
             if sid in view.up and sid in self._actors:
                 self._actors[sid].step(view, self.network)

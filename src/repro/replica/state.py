@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.sites import SiteSet, as_mask, lowest_site, mask_sites, site_mask
@@ -33,7 +33,7 @@ class ReplicaState:
         site_id: int,
         operation: int = 1,
         version: int = 1,
-        partition_set: AbstractSet[int] = frozenset(),
+        partition_set: SiteSet = frozenset(),
     ):
         if operation < 1 or version < 1:
             raise ConfigurationError(
@@ -48,7 +48,7 @@ class ReplicaState:
         self.site_id = site_id
         self._operation = operation
         self._version = version
-        self._partition_mask = site_mask(partition_set)
+        self._partition_mask = as_mask(partition_set)
 
     # ------------------------------------------------------------------
     operation = property(
@@ -162,18 +162,22 @@ class ReplicaSet:
     """
 
     def __init__(self, copy_sites: Iterable[int]):
-        sites = sorted(set(copy_sites))
+        self._fill(copy_sites, {})
+
+    def _fill(self, copy_sites: Iterable[int],
+              states: Mapping[int, tuple[int, int, AbstractSet[int]]]) -> None:
+        sites = sorted(set(copy_sites) | set(states))
         if not sites:
             raise ConfigurationError("a replicated file needs >= 1 copy")
         self._copy_sites = frozenset(sites)
         self.copy_mask = site_mask(sites)  #: every site holding a copy
-        self._index({sid: ReplicaState(sid, partition_set=self._copy_sites)
-                     for sid in sites})
-
-    def _index(self, states: dict[int, ReplicaState]) -> None:
-        self._states = states
+        self._states = {
+            sid: ReplicaState(sid, *states[sid]) if sid in states
+            else ReplicaState(sid, partition_set=self.copy_mask)
+            for sid in sites}
         # What the scans walk: (bit, state) in site order.
-        self._by_bit = tuple((1 << sid, state) for sid, state in states.items())
+        self._by_bit = tuple(
+            (1 << sid, state) for sid, state in self._states.items())
 
     @classmethod
     def from_states(
@@ -192,12 +196,8 @@ class ReplicaSet:
         block) but which keeps static denominators like MCV's "all
         copies" correct.
         """
-        replica_set = cls(set(states) | set(copy_sites))
-        for sid, (operation, version, partition_set) in states.items():
-            replica_set._states[sid] = ReplicaState(
-                sid, operation, version, partition_set
-            )
-        replica_set._index(replica_set._states)
+        replica_set = cls.__new__(cls)
+        replica_set._fill(copy_sites, states)
         return replica_set
 
     # ------------------------------------------------------------------
@@ -263,19 +263,23 @@ class ReplicaSet:
         """The states of the copies in the mask *sites*, in site order."""
         return [state for bit, state in self._by_bit if bit & sites]
 
-    def commit(self, operation: int, version: int, members: int) -> None:
+    def commit(self, operation: int, version: int, members: int,
+               recipients: Optional[int] = None) -> None:
         """COMMIT ``(operation, version, members)`` at every copy in the
-        mask *members* (see :meth:`ReplicaState.commit`).
+        mask *recipients* — by default *members* itself (see
+        :meth:`ReplicaState.commit`).
 
         Raises:
-            ConfigurationError: if a member holds no copy.
+            ConfigurationError: if a recipient holds no copy.
         """
-        strangers = members & ~self.copy_mask
+        if recipients is None:
+            recipients = members
+        strangers = recipients & ~self.copy_mask
         if strangers:
             raise ConfigurationError(
                 f"no copy at site {min(mask_sites(strangers))}")
         for bit, state in self._by_bit:
-            if bit & members:
+            if bit & recipients:
                 state.commit(operation, version, members)
 
     def reachable(self, block: AbstractSet[int]) -> frozenset[int]:

@@ -9,21 +9,22 @@ coordinator's block, every silent site is assumed unreachable, and
 segment co-location comes from static cluster configuration (what the
 topological protocols' vote claiming needs).
 
-The protocol objects themselves are the untouched classes from
-:mod:`repro.core` — the service re-evaluates Algorithm 1 over a
-:class:`~repro.replica.state.ReplicaSet` rebuilt from collected
-``(o, v, P)`` triples, the same idiom the chaos monitor's exclusion
-probe uses.
+The decision and the COMMIT are core's: :func:`evaluate_round` is
+:func:`repro.core.rounds.decide` over the collected ``(o, v, P)``
+triples, and :func:`plan_commit` reads the protocol's
+:meth:`~repro.core.base.VotingProtocol.commit_for`.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Mapping, Optional, Tuple
+from functools import partial
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.base import Verdict, VotingProtocol
+from repro.core.base import DynamicVotingFamily, Verdict, VotingProtocol
 from repro.core.registry import make_protocol
+from repro.core.rounds import decide
 from repro.errors import ConfigurationError
-from repro.net.sites import mask_sites, site_mask
+from repro.net.sites import Site, lowest_site, mask_sites, site_mask
 from repro.replica.state import ReplicaSet
 
 __all__ = [
@@ -40,7 +41,9 @@ class ClusterView:
     Implements the slice of the :class:`~repro.net.views.NetworkView`
     interface the quorum test consults: the block masks, :meth:`max_bit`
     for the tie break and :meth:`segment_mates` for topological vote
-    claiming, beside their site-id forms.
+    claiming, beside their site-id forms.  The tie-break order is the
+    default :class:`~repro.net.sites.Site` rank, as on the simulator's
+    topologies: the lowest site id is the lexicographic maximum.
     """
 
     def __init__(
@@ -77,12 +80,17 @@ class ClusterView:
         return frozenset({site_id})
 
     def max_site(self, site_ids: Iterable[int]) -> int:
-        """Highest site id among *site_ids* (the paper's tie-breaker)."""
-        return max(site_ids)
+        """The lexicographic maximum of *site_ids* (the paper's tie-breaker)."""
+        return lowest_site(self.max_bit(site_mask(site_ids)))
 
     def max_bit(self, mask: int) -> int:
-        """The bit of the highest site id in *mask*."""
-        return 1 << mask.bit_length() - 1
+        """The bit of the lexicographic maximum of the sites in *mask*."""
+        if not mask:
+            raise ConfigurationError(
+                "lexicographic maximum of an empty site set")
+        # Topology's order: highest rank first, equal ranks by lower id.
+        return 1 << min(mask_sites(mask),
+                        key=lambda site: (-Site(site).rank, site))
 
     def same_segment(self, a: int, b: int) -> bool:
         """Whether two sites share a configured network segment.
@@ -125,37 +133,34 @@ def evaluate_round(
         ``commits_on_read`` flag decides whether a granted read must
         broadcast a COMMIT).
     """
-    reachable = frozenset(states)
-    if not reachable:
+    if not states:
         return (Verdict.denial("no replicas reachable"),
                 ReplicaSet(copy_sites), None)
-    replica_set = ReplicaSet.from_states(dict(states), copy_sites)
-    view = ClusterView(reachable, frozenset(copy_sites), segments)
-    protocol = make_protocol(policy, replica_set)
-    verdict = protocol.evaluate_block(view, reachable)
-    return verdict, replica_set, protocol
+    view = ClusterView(frozenset(states), frozenset(copy_sites), segments)
+    protocol, verdict = decide(partial(make_protocol, policy), states, view,
+                               copy_sites)
+    return verdict, protocol.replicas, protocol
 
 
-class CommitPlan:
+class CommitPlan(NamedTuple):
     """The COMMIT a granted round must broadcast.
 
     Attributes:
         kind: ``"read"``, ``"write"``, ``"recover"`` or ``"adjust"``.
         operation / version: The new ``(o, v)`` pair.
-        partition_set: The new ``P`` — also the recipients.
+        partition_set: The new ``P``.
         anchor: A site holding the newest data (where reads and
             recovery copies come from).
+        recipients: The sites that install the triple — ``P`` itself
+            except under MCV, whose ``P`` is the static copy set.
     """
 
-    __slots__ = ("kind", "operation", "version", "partition_set", "anchor")
-
-    def __init__(self, kind: str, operation: int, version: int,
-                 partition_set: frozenset[int], anchor: int):
-        self.kind = kind
-        self.operation = operation
-        self.version = version
-        self.partition_set = partition_set
-        self.anchor = anchor
+    kind: str
+    operation: int
+    version: int
+    partition_set: frozenset[int]
+    anchor: int
+    recipients: frozenset[int]
 
 
 def plan_commit(
@@ -163,43 +168,31 @@ def plan_commit(
     replica_set: ReplicaSet,
     kind: str,
     recovering_site: Optional[int] = None,
+    protocol: Optional[VotingProtocol] = None,
 ) -> CommitPlan:
-    """Turn a granted verdict into the paper's COMMIT parameters.
+    """The granted round's COMMIT, as *protocol* states it
+    (:meth:`~repro.core.base.VotingProtocol.commit_for`).
 
-    ``COMMIT(S, o_m + 1, v_m [+1], S)`` for reads and writes (Figures
-    1–2), ``COMMIT(S ∪ {l}, o_m + 1, v_m, S ∪ {l})`` for RECOVER
-    (Figure 3).  Mirrors the arithmetic of
-    :meth:`repro.core.base.DynamicVotingFamily._commit`,
-    which cannot be called directly because a live COMMIT is a
-    broadcast, not an in-memory mutation.
+    *protocol* is the one :func:`evaluate_round` returned; by default
+    the dynamic-voting family's COMMIT over *replica_set*.
 
     Raises:
-        ConfigurationError: if *verdict* was not granted, or a recover
-            plan lacks its recovering site.
+        ConfigurationError: if *verdict* was not granted or commits
+            nothing, for an unknown *kind*, or for a recover plan
+            without its recovering site.
     """
     if not verdict.granted or verdict.reference is None:
         raise ConfigurationError("cannot plan a commit for a denied round")
-    anchor_state = replica_set.state(verdict.reference)
-    new_operation = anchor_state.operation + 1
-    if kind == "write":
-        new_version = anchor_state.version + 1
-        new_set = verdict.newest
-    elif kind in ("read", "adjust"):
-        new_version = anchor_state.version
-        new_set = verdict.newest
-    elif kind == "recover":
-        if recovering_site is None:
-            raise ConfigurationError(
-                "a recover plan needs the recovering site"
-            )
-        new_version = anchor_state.version
-        new_set = verdict.newest | {recovering_site}
-    else:
-        raise ConfigurationError(f"unknown commit kind {kind!r}")
+    if protocol is None:
+        protocol = DynamicVotingFamily(replica_set)
+    commit = protocol.commit_for(verdict, kind, recovering_site)
+    if commit is None:
+        raise ConfigurationError(f"a granted {kind} commits nothing here")
     return CommitPlan(
-        kind=kind,
-        operation=new_operation,
-        version=new_version,
-        partition_set=frozenset(new_set),
+        kind=commit.kind,
+        operation=commit.operation,
+        version=commit.version,
+        partition_set=commit.partition_set,
         anchor=min(verdict.newest),
+        recipients=commit.recipients,
     )

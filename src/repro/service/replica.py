@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.core.registry import available_policies
+from repro.core.rounds import repair_targets, rollback_source
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -49,7 +50,7 @@ from repro.obs.live.resources import ResourceSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.service.frames import FrameError, encode_frame, read_frame
 from repro.service.quorum import evaluate_round, plan_commit
-from repro.service.store import DurableReplica, commit_body
+from repro.service.store import DurableReplica
 from repro.util.backoff import BackoffPolicy
 
 __all__ = [
@@ -662,7 +663,10 @@ class ReplicaServer:
                 round_span.finish("ok")
             return self._read_result(verdict, values)
         kind = "write" if op == "put" else "read"
-        plan = plan_commit(verdict, replica_set, kind)
+        plan = plan_commit(verdict, replica_set, kind, protocol=protocol)
+        # The entry carries a write delta, so only recipients holding the
+        # newest data may apply it (under MCV, S rather than all of R).
+        targets = plan.recipients & verdict.newest
         writes = {key: value} if op == "put" else None
         entry = self.store.make_entry(
             kind, plan.operation, plan.version, plan.partition_set,
@@ -670,11 +674,10 @@ class ReplicaServer:
         )
         with self.metrics.timed("replica.round.commit.seconds"):
             acks = await self._broadcast(
-                plan.partition_set, {"kind": "commit", "entry": entry},
-                round_span)
+                targets, {"kind": "commit", "entry": entry}, round_span)
         self._last_entry = dict(entry)
         await self._release_leases(
-            frozenset(states) - plan.partition_set - {self.site_id})
+            frozenset(states) - targets - {self.site_id})
         committed = frozenset(
             site for site, reply in acks.items()
             if reply is not None and reply.get("kind") == "ok"
@@ -685,7 +688,7 @@ class ReplicaServer:
                 partition_set=sorted(plan.partition_set),
                 acked=sorted(committed),
                 operation=plan.operation)
-        if 2 * len(committed) <= len(plan.partition_set):
+        if 2 * len(committed) <= len(targets):
             # The commit may or may not survive the next quorum round;
             # the client must treat the operation as unresolved.
             self._count("commit.minority")
@@ -696,8 +699,7 @@ class ReplicaServer:
                     "outcome": "unavailable",
                     "reason": (
                         f"commit acked by {sorted(committed)} only "
-                        f"(needed a majority of "
-                        f"{sorted(plan.partition_set)})"
+                        f"(needed a majority of {sorted(targets)})"
                     )}
         self._count(f"granted.{op}")
         if round_span is not None:
@@ -825,7 +827,7 @@ class ReplicaServer:
         if await self._maybe_rollback(replies):
             await self._release_leases(frozenset(states) - {self.site_id})
             return "rollback"
-        verdict, replica_set, _ = evaluate_round(
+        verdict, replica_set, protocol = evaluate_round(
             self.config.policy, states, self.config.copy_sites,
             self.config.segments,
         )
@@ -847,7 +849,7 @@ class ReplicaServer:
             return "current"
         # Stale: reinsert with a data copy from the newest anchor.
         plan = plan_commit(verdict, replica_set, "recover",
-                           recovering_site=self.site_id)
+                           recovering_site=self.site_id, protocol=protocol)
         fetched = await self._call_peer(plan.anchor, {"kind": "fetch"},
                                         span)
         if fetched is None or fetched.get("kind") != "data":
@@ -858,13 +860,13 @@ class ReplicaServer:
             coordinator=self.site_id,
         )
         acks: dict[int, Optional[dict[str, Any]]] = {}
-        for site in sorted(plan.partition_set):
+        for site in sorted(plan.recipients):
             entry = dict(base_entry)
             if site == self.site_id:
                 entry["data"] = dict(fetched["data"])
             acks[site] = await self._call_peer(
                 site, {"kind": "commit", "entry": entry}, span)
-        await self._release_leases(others - plan.partition_set)
+        await self._release_leases(others - plan.recipients)
         if (acks.get(self.site_id) or {}).get("kind") == "ok":
             self._count("recovered")
             if self.recovery_info is not None:
@@ -881,99 +883,57 @@ class ReplicaServer:
         """Discard an orphaned tail commit (crashed-coordinator victim).
 
         A SIGKILL in mid-broadcast can leave this replica holding a
-        commit no other site ever saw.  While the orphan's holder was
-        down, the surviving majority may have committed a *different*
-        operation under the same number; when the holder returns, the
-        two bodies collide and every quorum that sees both would abort.
-        Commits are totally ordered among majority-applied bodies, so
-        if a rival body at this replica's own operation number is held
-        by a majority of its own partition set among the responders,
-        this replica's tail is provably the orphan: adopt the rival's
-        full durable state (state, data *and* history) and let the
-        normal RECOVER flow take it from there.
+        commit no other site ever saw, while the surviving majority
+        committed a *different* body under the same number.  When
+        :func:`~repro.core.rounds.rollback_source` proves the rival
+        majority-committed, adopt the rival holder's full durable state
+        (state, data *and* history) and let the normal RECOVER flow take
+        it from there.
 
         Returns ``True`` when a rollback happened this round.
         """
         assert self.store is not None
         if not self.store.history:
             return False
-        mine = self.store.history[-1]
-        my_operation = int(mine["operation"])
-        my_body = commit_body(mine)
-        rivals: dict[tuple, set[int]] = {}
-        members_of: dict[tuple, frozenset[int]] = {}
-        for site, reply in replies.items():
-            if site == self.site_id:
-                continue
-            last = reply.get("last")
-            if not isinstance(last, dict):
-                continue
-            try:
-                if int(last["operation"]) != my_operation:
-                    continue
-                body = commit_body(last)
-            except (KeyError, TypeError, ValueError):
-                continue
-            if body == my_body:
-                continue
-            rivals.setdefault(body, set()).add(site)
-            members_of[body] = frozenset(
-                int(s) for s in last["partition_set"])
-        for body, holders in rivals.items():
-            members = members_of[body]
-            if 2 * len(holders & members) <= len(members):
-                continue  # not provably majority-committed: stay put
-            source = min(holders & members)
-            fetched = await self._call_peer(
-                source, {"kind": "fetch", "history": True})
-            if fetched is None or fetched.get("kind") != "data":
-                return False
-            self.store.install_remote(
-                fetched["state"], fetched["data"],
-                fetched.get("history", []))
-            self._count("rollbacks")
-            return True
-        return False
+        source = rollback_source(self.site_id, self.store.history[-1],
+                                 replies)
+        if source is None:
+            return False
+        fetched = await self._call_peer(
+            source, {"kind": "fetch", "history": True})
+        if fetched is None or fetched.get("kind") != "data":
+            return False
+        self.store.install_remote(
+            fetched["state"], fetched["data"], fetched.get("history", []))
+        self._count("rollbacks")
+        return True
 
     async def _maybe_repair(self, states: Mapping[int, tuple],
                             span: Optional[Span] = None) -> None:
-        """Re-broadcast an orphaned commit (crashed coordinator repair).
+        """Re-broadcast an orphaned commit (crashed coordinator repair)
+        to the members :func:`~repro.core.rounds.repair_targets` names.
 
-        Only the max-``o`` holder repairs, only when it can reach a
-        majority of its own partition set, and the payload installs the
-        holder's full data map so receivers skip no write deltas.
+        The payload installs the holder's full data map, so receivers
+        skip no write deltas.
         """
         assert self.store is not None
-        my_operation = self.store.state.operation
-        if any(o > my_operation for o, _, _ in states.values()):
-            return
-        partition_set = self.store.state.partition_set
-        behind = frozenset(
-            site for site, (o, _, _) in states.items()
-            if o < my_operation and site in partition_set
-        )
-        if not behind:
-            return
-        reachable_members = frozenset(states) & partition_set
-        if 2 * len(reachable_members) <= len(partition_set):
-            return
-        if not self.store.history:
+        state = self.store.state
+        behind = repair_targets(state.operation, state.partition_set, states)
+        if not behind or not self.store.history:
             return
         # Re-deliver the holder's latest commit with its original kind
         # and write digest, so the receivers' histories stay body-equal
-        # with every replica that applied the commit first-hand.  The
-        # payload is a full map install: the receiver may have missed
-        # any number of intermediate write deltas.
+        # with every replica that applied the commit first-hand.
         latest = self.store.history[-1]
         entry = self.store.make_entry(
-            latest["kind"], my_operation, self.store.state.version,
-            partition_set, data=dict(self.store.data),
+            latest["kind"], state.operation, state.version,
+            state.partition_set, data=dict(self.store.data),
             coordinator=self.site_id,
         )
         entry["writes_digest"] = latest["writes_digest"]
         if span is not None:
             span.event("commit.repair", behind=sorted(behind),
-                       operation=my_operation)
+                       operation=state.operation)
         await self._broadcast(behind, {"kind": "commit", "entry": entry},
                               span)
         self._count("repairs")

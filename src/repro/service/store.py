@@ -32,6 +32,7 @@ import os
 import pathlib
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
+from repro.core.rounds import commit_body
 from repro.errors import ConfigurationError, ProtocolError, WALCorruptionError
 from repro.replica.state import ReplicaState
 from repro.service.wal import (
@@ -178,17 +179,6 @@ def read_history(
     for entry in _uncovered(wal.read().entries, operation, wal.path):
         index += 1
         yield _history_entry(entry, index, wal.path)
-
-
-def commit_body(entry: Mapping[str, Any]) -> tuple:
-    """The comparable body of one history entry: two replicas that
-    committed the same operation number must agree on this tuple."""
-    return (
-        int(entry["version"]),
-        tuple(sorted(int(s) for s in entry["partition_set"])),
-        str(entry["kind"]),
-        entry.get("writes_digest"),
-    )
 
 
 class DurableReplica:

@@ -1,8 +1,20 @@
 """Unit tests for the live-round quorum bridge."""
 
-import pytest
+import copy
 
-from repro.errors import ConfigurationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.registry import PAPER_POLICIES, make_protocol
+from repro.errors import (
+    ConfigurationError,
+    QuorumNotReachedError,
+    SiteUnavailableError,
+)
+from repro.experiments.configs import CONFIGURATIONS
+from repro.experiments.testbed import testbed_topology
+from repro.replica.state import ReplicaSet
 from repro.service.quorum import ClusterView, evaluate_round, plan_commit
 
 ALL = frozenset({1, 2, 3})
@@ -24,7 +36,17 @@ class TestClusterView:
         assert view.block_of(3) == frozenset({3})
 
     def test_max_site_tie_breaker(self):
-        assert ClusterView({1}, ALL).max_site([2, 5, 3]) == 5
+        # The repo's order (Site.rank defaults to -id): lowest id wins.
+        assert ClusterView({1}, ALL).max_site([2, 5, 3]) == 2
+
+    def test_exact_half_tie_goes_to_site_one(self):
+        members = frozenset({1, 2, 3, 4})
+        verdict, _, _ = evaluate_round(
+            "LDV", _states([1, 2], members=members), members)
+        assert verdict.granted
+        verdict, _, _ = evaluate_round(
+            "LDV", _states([3, 4], members=members), members)
+        assert not verdict.granted
 
     def test_segments_default_to_singletons(self):
         view = ClusterView({1, 2}, ALL)
@@ -102,3 +124,88 @@ class TestPlanCommit:
         verdict, replica_set = self._granted()
         with pytest.raises(ConfigurationError):
             plan_commit(verdict, replica_set, "compare-and-swap")
+
+
+TESTBED = testbed_topology()
+SEGMENTS = {site: TESTBED.segment_of(site) for site in TESTBED.site_ids}
+
+core_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["fail", "restart", "read", "write", "recover",
+                         "sync"]),
+        st.sampled_from(sorted(TESTBED.site_ids)),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _core_protocol(policy, copies):
+    """The state-level protocol, with the lineage guard stripped: the
+    service has no global view, so it runs the published rule."""
+    factory = type(make_protocol(policy, ReplicaSet(copies)))
+    rules = type(f"_Published{factory.__name__}", (factory,),
+                 {"lineage_guard": False})
+    return rules(ReplicaSet(copies))
+
+
+def _check_round(policy, protocol, view, block):
+    """The service's evaluate_round + plan_commit over the block's
+    collected triples must match core's verdict and committed triple."""
+    copies = protocol.copy_sites
+    states = {site: protocol.replicas.state(site).snapshot()
+              for site in block & copies}
+    verdict, replica_set, service = evaluate_round(
+        policy, states, copies, SEGMENTS)
+    expected = protocol.evaluate_block(view, block)
+    assert (verdict.granted, verdict.reachable, verdict.current,
+            verdict.newest, verdict.counted, verdict.partition_set,
+            verdict.reference) == (
+        expected.granted, expected.reachable, expected.current,
+        expected.newest, expected.counted, expected.partition_set,
+        expected.reference), (policy, states)
+    if not verdict.granted:
+        return
+    coordinator = min(block & copies)
+    kinds = ["write"] + (["read"] if service.commits_on_read else [])
+    for kind in kinds:
+        plan = plan_commit(verdict, replica_set, kind, protocol=service)
+        after = copy.deepcopy(protocol)
+        getattr(after, kind)(view, coordinator)
+        for site in copies:
+            was = protocol.replicas.state(site).snapshot()
+            now = after.replicas.state(site).snapshot()
+            if site in plan.recipients:
+                assert now == (plan.operation, plan.version,
+                               plan.partition_set), (policy, kind, site)
+            else:
+                assert now == was, (policy, kind, site)
+
+
+class TestAgreesWithCore:
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
+    @settings(max_examples=80, deadline=None)
+    @given(config=st.sampled_from(sorted(CONFIGURATIONS)), steps=core_steps)
+    def test_decision_and_commit_match_core(self, policy, config, steps):
+        copies = CONFIGURATIONS[config].copy_sites
+        protocol = _core_protocol(policy, copies)
+        up = set(TESTBED.site_ids)
+        for kind, site, pick in steps:
+            if kind == "fail":
+                up.discard(site)
+            elif kind == "restart":
+                up.add(site)
+            view = TESTBED.view(up)
+            try:
+                if kind in ("read", "write"):
+                    getattr(protocol, kind)(view, site)
+                elif kind == "recover" and site in copies:
+                    protocol.recover(view, site)
+                elif kind == "sync":
+                    protocol.synchronize(view)
+            except (QuorumNotReachedError, SiteUnavailableError):
+                pass
+            blocks = [block for block in view.blocks if block & copies]
+            if blocks:
+                _check_round(policy, protocol, view,
+                             blocks[pick % len(blocks)])
