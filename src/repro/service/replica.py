@@ -5,8 +5,10 @@ One :class:`ReplicaServer` is one paper "site": it owns a
 the key-value map and the WAL) and serves length-prefixed JSON frames
 on TCP.  Any replica can coordinate a client operation:
 
-1. collect ``(o, v, P)`` states from every peer (a short lease rides
-   on the state request, serialising concurrent coordinators);
+1. collect ``(o, v, P)`` states from every peer; a short lease rides
+   on the state request, serialising concurrent coordinators by the
+   wait-die rules of :mod:`repro.service.lease` (a refused coordinator
+   releases, queues at the refusing site, and reruns — no sleep);
 2. evaluate the paper's quorum test over the responders — the real
    :mod:`repro.core` protocol classes via
    :func:`repro.service.quorum.evaluate_round`;
@@ -32,7 +34,7 @@ import json
 import random
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple, Union
 
 from repro.core.registry import available_policies
 from repro.core.rounds import repair_targets, rollback_source
@@ -49,22 +51,18 @@ from repro.obs.live.export import render_prometheus
 from repro.obs.live.resources import ResourceSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.service.frames import FrameError, encode_frame, read_frame
+from repro.service.lease import GRANT, WAIT, LeaseTable, as_ticket
 from repro.service.quorum import evaluate_round, plan_commit
 from repro.service.store import DurableReplica
-from repro.util.backoff import BackoffPolicy
 
-__all__ = [
-    "ReplicaConfig",
-    "ReplicaServer",
-    "serve_replica",
-]
+__all__ = ["ReplicaConfig", "ReplicaServer", "serve_replica"]
 
 #: File a restarting replica writes its recovery verification into.
 RECOVERY_MARKER = "recovery.json"
 
-#: Pacing for contended coordinator rounds (lease collisions).
-_ROUND_RETRY = BackoffPolicy(base=0.02, factor=2.0, max_delay=0.25,
-                             jitter=1.0, max_attempts=6)
+#: Quorum rounds one client operation may take before it is
+#: answered ``contended``.
+_MAX_ROUNDS = 6
 
 
 def _response_status(response: Mapping[str, Any]) -> str:
@@ -96,7 +94,8 @@ class ReplicaConfig:
         lease_s: Coordinator lease duration; bounds how long a crashed
             coordinator can block others.
         peer_timeout: Per-peer round-trip budget; a peer that misses it
-            is treated as unreachable this round.
+            is treated as unreachable this round.  A ``state?`` request
+            waits in a lease queue for at most an eighth of it.
         recover_interval: Cadence of the RECOVER / anti-entropy loop.
         trace: Record distributed-tracing spans to ``spans.jsonl``
             next to the WAL (zero-cost when off, the default).
@@ -165,9 +164,9 @@ class ReplicaServer:
         self._links: dict[int, tuple[asyncio.StreamReader,
                                      asyncio.StreamWriter]] = {}
         self._coord_lock = asyncio.Lock()
-        self._lease_holder: Optional[int] = None
-        self._lease_expires = 0.0
-        self._last_entry: Optional[dict[str, Any]] = None
+        self._leases = LeaseTable(config.lease_s)
+        #: One future per queued ``state?`` request, by requesting site.
+        self._waiting: dict[int, asyncio.Future[bool]] = {}
         self._rng = random.Random(f"replica:{config.site_id}")
         self._stopped = asyncio.Event()
 
@@ -219,9 +218,7 @@ class ReplicaServer:
             self._recover_task.cancel()
             try:
                 await self._recover_task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
+            except (asyncio.CancelledError, Exception):
                 pass
             self._recover_task = None
         for _, writer in self._links.values():
@@ -323,9 +320,9 @@ class ReplicaServer:
         self.metrics.counter("replica.frames", kind=str(kind)).inc()
         try:
             if kind == "ping":
-                return self._on_ping()
+                return {"kind": "pong", "site": self.site_id}
             if kind == "state?":
-                return self._on_state(message)
+                return await self._on_state(message)
             if kind == "commit":
                 return self._on_commit(message)
             if kind == "release":
@@ -345,51 +342,53 @@ class ReplicaServer:
             return {"kind": "error", "reason": str(exc)}
 
     # -- peer handlers --------------------------------------------------
-    def _on_ping(self) -> dict[str, Any]:
-        return {"kind": "pong", "site": self.site_id}
-
     def _now(self) -> float:
         return asyncio.get_running_loop().time()
 
-    def _try_lease(self, holder: int) -> bool:
-        now = self._now()
-        if (self._lease_holder is None or self._lease_holder == holder
-                or now >= self._lease_expires):
-            self._lease_holder = holder
-            self._lease_expires = now + self.config.lease_s
-            return True
-        return False
-
-    def _drop_lease(self, holder: int) -> None:
-        if self._lease_holder == holder:
-            self._lease_holder = None
-            self._lease_expires = 0.0
-
-    def _on_state(self, message: Mapping[str, Any]) -> dict[str, Any]:
+    async def _take_lease(self, message: Mapping[str, Any]) -> bool:
+        """Whether the ``state?`` sender gets the lease: at once, or
+        after waiting in line for at most an eighth of the peer time-out
+        (:mod:`repro.service.lease` says why so short)."""
         holder = int(message.get("from", 0))
-        if not self._try_lease(holder):
+        stale = self._waiting.pop(holder, None)
+        if stale is not None:  # superseded by this request
+            stale.set_result(False)
+        decision = self._leases.request(
+            holder, as_ticket(message.get("ticket")), self._now(),
+            empty_handed=bool(message.get("queue")))
+        if decision != WAIT:
+            return decision == GRANT
+        self.metrics.counter("replica.lease.queued").inc()
+        waiter = self._waiting[holder] = \
+            asyncio.get_running_loop().create_future()
+        try:
+            await asyncio.wait((waiter,),
+                               timeout=self.config.peer_timeout / 8)
+        finally:
+            if self._waiting.get(holder) is waiter:
+                del self._waiting[holder]
+            if not waiter.done():
+                self._leases.withdraw(holder)
+        return waiter.done() and waiter.result()
+
+    def _release_lease(self, holder: int) -> None:
+        """Free *holder*'s lease here and answer the waiters it moves."""
+        released = self._leases.release(holder, self._now())
+        for site in (*released.refused, released.granted):
+            waiter = self._waiting.pop(site, None)  # type: ignore[arg-type]
+            if waiter is not None:
+                waiter.set_result(site == released.granted)
+
+    async def _on_state(self, message: Mapping[str, Any]) -> dict[str, Any]:
+        if not await self._take_lease(message):
             self._count("busy")
             self.metrics.counter("replica.lease.denied").inc()
             return {"kind": "busy", "site": self.site_id,
-                    "holder": self._lease_holder}
+                    "holder": self._leases.holder}
         assert self.store is not None
-        state = self.store.state
-        reply: dict[str, Any] = {
-            "kind": "state",
-            "site": self.site_id,
-            "operation": state.operation,
-            "version": state.version,
-            "partition_set": sorted(state.partition_set),
-        }
-        if self.store.history:
-            latest = self.store.history[-1]
-            reply["last"] = {
-                "operation": latest["operation"],
-                "version": latest["version"],
-                "partition_set": list(latest["partition_set"]),
-                "kind": latest["kind"],
-                "writes_digest": latest["writes_digest"],
-            }
+        reply = {"kind": "state", **self.store.state.to_dict()}
+        if self.store.latest is not None:  # what the orphan rules compare
+            reply["last"] = self.store.latest
         key = message.get("key")
         if key is not None:
             reply["value"] = self.store.data.get(str(key))
@@ -402,18 +401,17 @@ class ReplicaServer:
             return {"kind": "error", "reason": "commit without entry"}
         assert self.store is not None
         if not self.store.accepts(int(entry.get("operation", 0))):
-            self._drop_lease(holder)
+            self._release_lease(holder)
             return {"kind": "stale", "site": self.site_id,
                     "operation": self.store.state.operation}
         self.store.commit(entry)
-        self._last_entry = dict(entry)
         self._count("commits")
-        self._drop_lease(holder)
+        self._release_lease(holder)
         return {"kind": "ok", "site": self.site_id,
                 "operation": self.store.state.operation}
 
     def _on_release(self, message: Mapping[str, Any]) -> dict[str, Any]:
-        self._drop_lease(int(message.get("from", 0)))
+        self._release_lease(int(message.get("from", 0)))
         return {"kind": "ok", "site": self.site_id}
 
     def _on_fetch(self, message: Mapping[str, Any]) -> dict[str, Any]:
@@ -436,9 +434,7 @@ class ReplicaServer:
             "kind": "info",
             "site": self.site_id,
             "policy": self.config.policy,
-            "operation": self.store.state.operation,
-            "version": self.store.state.version,
-            "partition_set": sorted(self.store.state.partition_set),
+            **self.store.state.to_dict(),
             "applied_index": self.store.applied_index,
             "digest": self.store.digest(),
             "counters": dict(self.counters),
@@ -586,30 +582,32 @@ class ReplicaServer:
         self, op: str, key: str, value: Any,
         span: Optional[Span] = None,
     ) -> dict[str, Any]:
-        """Run quorum rounds for one client operation until decided."""
+        """Run quorum rounds for one client operation until decided;
+        every round carries the same ticket, so a requeued op ages."""
         assert self.store is not None
         self._count(f"rounds.{op}")
-        delays = _ROUND_RETRY.delays(self._rng)
-        while True:
-            outcome = await self._one_round(op, key, value, span)
-            if outcome is not None:
+        ticket = [_time.time(), self.site_id]
+        refused = None
+        for _ in range(_MAX_ROUNDS):
+            outcome = await self._one_round(op, key, value, ticket,
+                                            refused, span)
+            if isinstance(outcome, dict):
                 return outcome
-            delay = next(delays, None)
-            if delay is None:
-                self._count("contended")
-                return {"kind": "result", "ok": False, "op": op,
-                        "outcome": "contended",
-                        "reason": "coordinator lease contention"}
-            await asyncio.sleep(delay)
+            refused = outcome
+        self._count("contended")
+        return {"kind": "result", "ok": False, "op": op,
+                "outcome": "contended",
+                "reason": "coordinator lease contention"}
 
     async def _one_round(
-        self, op: str, key: str, value: Any,
-        span: Optional[Span] = None,
-    ) -> Optional[dict[str, Any]]:
+        self, op: str, key: str, value: Any, ticket: list[Any],
+        queue_at: Optional[int] = None, span: Optional[Span] = None,
+    ) -> Union[dict[str, Any], int]:
         """One state-collection + quorum + commit attempt.
 
-        Returns a client response, or ``None`` when the round hit lease
-        contention and should be retried after a jittered pause.
+        Returns a client response, or the site that refused the lease:
+        the next round first queues there (holding no lease, so it may
+        wait whatever its age) and starts once that site grants.
 
         Traced, the round is one ``quorum.round`` span under the
         client-op span: which sites answered the state collection,
@@ -622,21 +620,29 @@ class ReplicaServer:
             round_span = self.recorder.span(
                 "quorum.round", parent=span, op=op,
                 policy=self.config.policy, coordinator=self.site_id)
+        if queue_at is not None:
+            start = _time.perf_counter()
+            queued = await self._call_peer(queue_at, {
+                "kind": "state?", "ticket": ticket, "queue": True}, round_span)
+            if round_span is not None:
+                round_span.event("lease.wait", site=queue_at,
+                                 seconds=_time.perf_counter() - start,
+                                 granted=(queued or {}).get("kind") == "state")
         with self.metrics.timed("replica.round.collect.seconds"):
             states, values, busy, _ = await self._collect_states(
-                key, round_span)
+                key, round_span, ticket)
         if round_span is not None:
             round_span.event(
                 "state.collect",
                 responders=sorted(states),
                 silent=sorted(self.config.copy_sites
                               - frozenset(states)),
-                busy=busy)
+                busy=sorted(busy))
         if busy:
             await self._release_leases(frozenset(states) - {self.site_id})
             if round_span is not None:
                 round_span.finish("busy")
-            return None
+            return min(busy)
         with self.metrics.timed("replica.round.evaluate.seconds"):
             verdict, replica_set, protocol = evaluate_round(
                 self.config.policy, states, self.config.copy_sites,
@@ -675,7 +681,6 @@ class ReplicaServer:
         with self.metrics.timed("replica.round.commit.seconds"):
             acks = await self._broadcast(
                 targets, {"kind": "commit", "entry": entry}, round_span)
-        self._last_entry = dict(entry)
         await self._release_leases(
             frozenset(states) - targets - {self.site_id})
         committed = frozenset(
@@ -721,33 +726,34 @@ class ReplicaServer:
 
     async def _collect_states(
         self, key: Optional[str], span: Optional[Span] = None,
+        ticket: Optional[list[Any]] = None,
     ) -> tuple[dict[int, tuple[int, int, frozenset[int]]],
-               dict[Any, Any], bool,
+               dict[Any, Any], set[int],
                dict[int, dict[str, Any]]]:
         """Ask every copy site for its ``(o, v, P)`` (and *key*'s value).
 
-        Returns ``(states, values, busy, replies)``; *busy* is ``True``
-        when any responder refused the lease — the round must abort so
-        two coordinators never interleave commits.  *replies* holds the
+        Returns ``(states, values, busy, replies)``; *busy* holds the
+        sites that refused the lease — the round must abort so two
+        coordinators never interleave commits.  *replies* holds the
         raw state frames (the recover loop reads the ``last`` commit
-        bodies from them).
+        bodies from them).  Without a *ticket* no site makes it wait.
         """
         message: dict[str, Any] = {"kind": "state?"}
         if key is not None:
             message["key"] = key
+        if ticket is not None:
+            message["ticket"] = ticket
         raw = await self._broadcast(self.config.copy_sites, message,
                                     span)
         states: dict[int, tuple[int, int, frozenset[int]]] = {}
         values: dict[Any, Any] = {}
         replies: dict[int, dict[str, Any]] = {}
-        busy = False
+        busy: set[int] = set()
         for site, reply in raw.items():
-            if reply is None:
-                continue
-            if reply.get("kind") == "busy":
-                busy = True
-                continue
-            if reply.get("kind") != "state":
+            kind = (reply or {}).get("kind")
+            if kind == "busy":
+                busy.add(site)
+            if kind != "state":
                 continue
             try:
                 states[site] = (
@@ -764,7 +770,7 @@ class ReplicaServer:
         return states, values, busy, replies
 
     async def _release_leases(self, sites: frozenset[int]) -> None:
-        self._drop_lease(self.site_id)
+        self._release_lease(self.site_id)
         if sites:
             await self._broadcast(frozenset(sites), {"kind": "release"})
 
@@ -780,14 +786,11 @@ class ReplicaServer:
         commit it is the max-``o`` holder of.
         """
         while True:
-            interval = self.config.recover_interval
             await asyncio.sleep(
-                interval * (0.5 + self._rng.random()))
+                self.config.recover_interval * (0.5 + self._rng.random()))
             try:
                 async with self._coord_lock:
                     await self._recover_round()
-            except asyncio.CancelledError:
-                raise
             except (ProtocolError, ServiceError, ConfigurationError,
                     OSError):
                 self._count("recover.errors")
@@ -796,12 +799,10 @@ class ReplicaServer:
                 events=int(self.counters.get("commits", 0)))
 
     async def _recover_round(self) -> None:
-        assert self.store is not None
         span = None
         if self.recorder is not None:
             # Recovery rounds are self-caused: each gets a root trace.
-            span = self.recorder.span("recover.round",
-                                      site=self.site_id,
+            span = self.recorder.span("recover.round", site=self.site_id,
                                       policy=self.config.policy)
         status = "current"
         start = _time.perf_counter()
@@ -820,7 +821,7 @@ class ReplicaServer:
         states, _, busy, replies = await self._collect_states(None, span)
         if span is not None:
             span.event("state.collect", responders=sorted(states),
-                       busy=busy)
+                       busy=sorted(busy))
         if busy:
             await self._release_leases(frozenset(states) - {self.site_id})
             return "busy"
@@ -893,10 +894,9 @@ class ReplicaServer:
         Returns ``True`` when a rollback happened this round.
         """
         assert self.store is not None
-        if not self.store.history:
+        if self.store.latest is None:
             return False
-        source = rollback_source(self.site_id, self.store.history[-1],
-                                 replies)
+        source = rollback_source(self.site_id, self.store.latest, replies)
         if source is None:
             return False
         fetched = await self._call_peer(
@@ -919,12 +919,12 @@ class ReplicaServer:
         assert self.store is not None
         state = self.store.state
         behind = repair_targets(state.operation, state.partition_set, states)
-        if not behind or not self.store.history:
+        latest = self.store.latest
+        if not behind or latest is None:
             return
         # Re-deliver the holder's latest commit with its original kind
         # and write digest, so the receivers' histories stay body-equal
         # with every replica that applied the commit first-hand.
-        latest = self.store.history[-1]
         entry = self.store.make_entry(
             latest["kind"], state.operation, state.version,
             state.partition_set, data=dict(self.store.data),

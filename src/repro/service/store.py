@@ -7,15 +7,16 @@ over the wire), so a SIGKILL at any point leaves a state that replay
 reconstructs exactly.
 
 Three files hold a replica: ``wal.log`` (commits since the last
-compaction), ``snapshot.json`` (state and data only) and an
-append-only history log (every applied commit's history entry, in the
-WAL's record framing).  A compaction costs O(state + commits since the
-last one), never O(age): it appends the new history entries, then
-saves the snapshot naming how many history bytes it covers, then
-resets the WAL — so a crash between any two steps leaves either the
-old snapshot (the WAL still holds the entries; the history log's
-uncovered bytes are cut off on open) or the new one (the WAL entries
-it covers are skipped on replay).
+compaction), ``snapshot.json`` (state, data and the newest history
+entry, so opening never reads the log) and an append-only history log
+(every applied commit's history entry, in the WAL's record framing).
+A compaction costs O(state + commits since the last one), never
+O(age): it appends the new history entries, then saves the snapshot
+naming how many history bytes it covers, then resets the WAL — so a
+crash between any two steps leaves either the old snapshot (the WAL
+still holds the entries; the history log's uncovered bytes are cut off
+on open) or the new one (the WAL entries it covers are skipped on
+replay).
 
 Determinism is the load-bearing property here: the canonical document
 (:meth:`DurableReplica.canonical_document`) of a replica recovered
@@ -186,9 +187,11 @@ class DurableReplica:
 
     Use :meth:`open` to create-or-recover; then :meth:`commit` for
     every accepted COMMIT.  The in-memory members (``state``, ``data``,
-    ``history``) are only ever mutated by applying WAL entries, which
-    is what makes recovery equal to a replay.  ``history`` is the full
-    list; its first ``_logged`` entries are already in the history log.
+    ``latest``) are only ever mutated by applying WAL entries, which
+    is what makes recovery equal to a replay.  Memory is O(state), not
+    O(age): besides ``latest`` (the newest history entry, all the
+    protocol reads) it keeps only ``_tail``, the entries not yet in the
+    history log; :attr:`history` reads the full list from disk.
     """
 
     def __init__(
@@ -219,12 +222,19 @@ class DurableReplica:
         self.state = ReplicaState(self.site_id,
                                   partition_set=self.copy_sites)
         self.data: dict[str, Any] = {}
-        self.history: list[dict[str, Any]] = []
+        self.latest: Optional[dict[str, Any]] = None
         self.applied_index = 0
         self.torn_tail_bytes = 0
         self._history_generation = 0
         self._history_bytes = 0
-        self._logged = 0
+        self._tail: list[dict[str, Any]] = []
+
+    @property
+    def history(self) -> list[dict[str, Any]]:
+        """Every applied commit's history entry, oldest first, read on
+        demand from the replica's files (:func:`read_history`) — which
+        hold everything applied, since the WAL is written first."""
+        return list(read_history(self.directory))
 
     @property
     def history_path(self) -> pathlib.Path:
@@ -249,7 +259,9 @@ class DurableReplica:
         keeps the write path free of instrumentation branches' cost.
 
         Raises:
-            WALCorruptionError: on mid-log or snapshot corruption.
+            WALCorruptionError: on mid-log WAL or snapshot corruption, or
+                a history log shorter than the snapshot says (its records
+                are checked when :func:`read_history` streams them).
         """
         store = cls(directory, site_id, copy_sites,
                     fsync=fsync, compact_every=compact_every,
@@ -280,19 +292,29 @@ class DurableReplica:
             raise WALCorruptionError(
                 f"malformed snapshot {self.snapshots.path}: {exc}"
             ) from exc
-        self.history = list(_snapshot_history(self.directory, snapshot))
-        # A version-1 history is not in any log yet: the next
-        # compaction appends all of it.
-        self._logged = len(self.history) if snapshot["version"] > 1 else 0
+        if snapshot["version"] == 1:
+            # Not in any log yet: the next compaction appends all of it.
+            self._tail = list(_snapshot_history(self.directory, snapshot))
+            self.latest = self._tail[-1] if self._tail else None
+        elif "latest" in snapshot:
+            self.latest = snapshot["latest"]
+        else:  # written before snapshots named their latest entry
+            for entry in _snapshot_history(self.directory, snapshot):
+                self.latest = entry
 
     def _trim_history_logs(self) -> None:
         """Cut the history log back to what the snapshot covers (an
         append that crashed before its snapshot landed; the WAL still
-        holds those entries) and delete other generations' logs."""
+        holds those entries) and delete other generations' logs.  A log
+        shorter than the snapshot says is corruption."""
         current = self.history_path
         try:
-            if current.exists() and \
-                    current.stat().st_size > self._history_bytes:
+            size = current.stat().st_size if current.exists() else 0
+            if size < self._history_bytes:
+                raise WALCorruptionError(
+                    f"{current}: {size} bytes, but the snapshot covers "
+                    f"{self._history_bytes}")
+            if size > self._history_bytes:
                 os.truncate(current, self._history_bytes)
             for stale in self.directory.glob("history*.log"):
                 if stale != current:
@@ -361,7 +383,8 @@ class DurableReplica:
         if entry.get("writes"):
             self.data.update(entry["writes"])
         self.applied_index = record["index"]
-        self.history.append(record)
+        self.latest = record
+        self._tail.append(record)
 
     def install_remote(
         self,
@@ -396,15 +419,16 @@ class DurableReplica:
             raise ConfigurationError(
                 f"malformed peer state document: {exc}"
             ) from exc
+        adopted_history = [dict(entry) for entry in history]
         self.state = adopted
         self.data = dict(data)
-        self.history = [dict(entry) for entry in history]
-        self.applied_index = len(self.history)
+        self.applied_index = len(adopted_history)
+        self.latest = adopted_history[-1] if adopted_history else None
         retired = self.history_path
         self._history_generation += 1
         self._history_bytes = append_records(
-            self.history_path, self.history, truncate=True)
-        self._logged = len(self.history)
+            self.history_path, adopted_history, truncate=True)
+        self._tail = []
         self._checkpoint()
         retired.unlink(missing_ok=True)
 
@@ -414,10 +438,10 @@ class DurableReplica:
         write, one fsync), save the state-only snapshot atomically,
         then reset the WAL — in that order (see the module docstring
         for why each crash point recovers)."""
-        if self._logged < len(self.history):
-            self._history_bytes = append_records(
-                self.history_path, self.history[self._logged:])
-            self._logged = len(self.history)
+        if self._tail:
+            self._history_bytes = append_records(self.history_path,
+                                                 self._tail)
+            self._tail = []
         self._checkpoint()
 
     def _checkpoint(self) -> None:
@@ -431,6 +455,7 @@ class DurableReplica:
             "applied_index": self.applied_index,
             "history_generation": self._history_generation,
             "history_bytes": self._history_bytes,
+            "latest": self.latest,
         })
         self.wal.reset()
 

@@ -1,11 +1,10 @@
 """Jittered exponential backoff with an optional deadline.
 
-One retry policy, used everywhere something is retried:
+One retry policy, with two users:
 
 * the replicated service client (:mod:`repro.service.client`) waits
   between failovers with full jitter so a herd of clients hammering a
   recovering replica spreads out;
-* a restarting replica's RECOVER loop paces its quorum attempts;
 * :func:`repro.experiments.runner.run_study` retries failed cells
   through the same policy (with a zero base delay — simulation retries
   need pacing logic, not wall-clock pauses).

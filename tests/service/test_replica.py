@@ -14,6 +14,7 @@ import pytest
 from repro.service.client import ServiceClient, _Retryable
 from repro.service.cluster import free_port
 from repro.service.frames import encode_frame, read_frame
+from repro.service.invariants import check_histories, collect_histories
 from repro.service.replica import RECOVERY_MARKER, ReplicaConfig, ReplicaServer
 from repro.service.store import DurableReplica, commit_body, writes_digest
 
@@ -21,7 +22,7 @@ HOST = "127.0.0.1"
 
 
 async def _start_cluster(root, n=3, policy="ODV", recover_interval=5.0,
-                         trace=False):
+                         trace=False, peer_timeout=0.4):
     sites = list(range(1, n + 1))
     ports = {site: free_port() for site in sites}
     servers = {}
@@ -32,7 +33,7 @@ async def _start_cluster(root, n=3, policy="ODV", recover_interval=5.0,
             peers={peer: (HOST, ports[peer])
                    for peer in sites if peer != site},
             policy=policy, fsync="never",
-            lease_s=1.0, peer_timeout=0.4,
+            lease_s=1.0, peer_timeout=peer_timeout,
             recover_interval=recover_interval,
             trace=trace,
         )
@@ -475,6 +476,65 @@ class TestKeptConnections:
                 await _stop_all(servers)
 
         asyncio.run(scenario())
+
+
+class TestLeaseQueueing:
+    """Contending coordinators queue for the lease instead of sleeping."""
+
+    def test_crossed_first_grants_both_finish_quickly(self, tmp_path):
+        """Started in one loop tick, each coordinator's own site grants
+        it first (A holds site 1, B holds site 2); wait-die refuses the
+        younger one, which queues and reruns — nobody waits out a time-
+        out.  Traced, the rerun round shows its queueing."""
+        from repro.obs.dtrace import load_span_logs
+
+        peer_timeout = 4.0  # a wait is bounded at an eighth: 0.5 s
+
+        async def scenario():
+            servers, _ = await _start_cluster(
+                tmp_path, trace=True, peer_timeout=peer_timeout)
+            try:
+                start = asyncio.get_running_loop().time()
+                replies = await asyncio.gather(*(
+                    servers[site]._dispatch(
+                        {"kind": "put", "key": f"k{site}", "value": site})
+                    for site in (1, 2)))
+                elapsed = asyncio.get_running_loop().time() - start
+                assert [reply["ok"] for reply in replies] == [True, True]
+                # The grants did cross: the younger B was refused at 1.
+                assert servers[1].counters.get("busy", 0) >= 1
+                assert elapsed < peer_timeout / 16
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+        waits = [event for span in load_span_logs(tmp_path)
+                 if span["name"] == "quorum.round"
+                 for event in span.get("events", [])
+                 if event["name"] == "lease.wait"]
+        assert waits and waits[0]["granted"] is True
+        assert 0 <= waits[0]["seconds"] < peer_timeout / 16
+
+    def test_two_clients_on_disjoint_keys_never_contend(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                def drive(site):
+                    with ServiceClient([(HOST, ports[site])],
+                                       rng=random.Random(site)) as client:
+                        return [client.put(f"c{site}.k{i % 4}", i).outcome
+                                for i in range(40)]
+
+                outcomes = await asyncio.gather(
+                    asyncio.to_thread(drive, 1), asyncio.to_thread(drive, 2))
+            finally:
+                await _stop_all(servers)
+            assert outcomes == [["ok"] * 40, ["ok"] * 40]
+            assert sum(server.counters.get("contended", 0)
+                       for server in servers.values()) == 0
+
+        asyncio.run(scenario())
+        assert check_histories(collect_histories(tmp_path, (1, 2, 3))) == []
 
 
 class TestTracing:
