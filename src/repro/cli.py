@@ -506,15 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--peers", default="", metavar="SPEC",
                    help="other replicas as '2=host:port,3=host:port'")
     add_service_common(q)
-    q.add_argument("--lease", type=float, default=2.0,
-                   help="coordinator lease seconds (default 2.0)")
-    q.add_argument("--peer-timeout", type=float, default=1.0,
-                   help="per-peer round-trip budget (default 1.0)")
-    q.add_argument("--recover-interval", type=float, default=1.0,
-                   help="RECOVER loop cadence (default 1.0)")
-    q.add_argument("--compact-every", type=int, default=256,
-                   help="snapshot compaction period in commits "
-                        "(default 256)")
     q.add_argument("--trace", action="store_true",
                    help="write distributed-tracing spans to "
                         "spans.jsonl next to the WAL")
@@ -1893,10 +1884,6 @@ def _cmd_service_replica(args: argparse.Namespace) -> int:
         policy=args.policy,
         segments=parse_segments(args.segments),
         fsync=args.fsync,
-        compact_every=args.compact_every,
-        lease_s=args.lease,
-        peer_timeout=args.peer_timeout,
-        recover_interval=args.recover_interval,
         trace=args.trace,
     )
     try:

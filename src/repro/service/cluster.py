@@ -149,9 +149,6 @@ class ClusterSpec:
         proxy: Whether all traffic crosses the chaos proxy.
         segments: Co-location spec (``"1,2/3,4,5"``) for topological
             protocols.
-        lease_s / peer_timeout / recover_interval / compact_every:
-            Forwarded to every :class:`~repro.service.replica.
-            ReplicaConfig`.
         trace: Record distributed-tracing spans — every replica writes
             ``spans.jsonl`` next to its WAL and the proxy writes
             ``proxy.spans.jsonl`` under the cluster root.
@@ -164,10 +161,6 @@ class ClusterSpec:
     fsync: str = "always"
     proxy: bool = True
     segments: Optional[str] = None
-    lease_s: float = 1.0
-    peer_timeout: float = 0.6
-    recover_interval: float = 0.75
-    compact_every: int = 64
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -270,10 +263,6 @@ class LocalCluster:
             "--data-dir", str(data_dir),
             "--policy", self.spec.policy,
             "--fsync", self.spec.fsync,
-            "--lease", str(self.spec.lease_s),
-            "--peer-timeout", str(self.spec.peer_timeout),
-            "--recover-interval", str(self.spec.recover_interval),
-            "--compact-every", str(self.spec.compact_every),
         ]
         peers = self._peer_spec(site)
         if peers:

@@ -83,6 +83,9 @@ def _history_entry(entry: Mapping[str, Any], index: int,
         version = int(entry["version"])
         partition_set = sorted({int(s) for s in entry["partition_set"]})
         kind = str(entry["kind"])
+        if any(not isinstance(entry.get(name, {}), (dict, type(None)))
+               for name in ("data", "writes")):
+            raise TypeError("data and writes must be maps")
     except (KeyError, TypeError, ValueError) as exc:
         raise WALCorruptionError(
             f"malformed WAL entry in {origin}: {exc}"
@@ -354,16 +357,24 @@ class DurableReplica:
         }
 
     def commit(self, entry: Mapping[str, Any]) -> None:
-        """Log *entry* durably, then apply it; compacts when due.
+        """Check *entry*, log it durably, then apply it; compacts when due.
 
         Raises:
-            ProtocolError: if applying would break ``(o, v, P)``
-                monotonicity (the entry is still on disk at that point,
-                matching what a real torn run would leave — callers
-                treat this as fatal).
+            ProtocolError: if *entry* is malformed or would break
+                ``(o, v, P)`` monotonicity.  Nothing is logged or
+                applied then, so the replica still reopens.
         """
+        try:
+            record = _history_entry(entry, self.applied_index + 1,
+                                    "a COMMIT")
+            # Checked on a copy, so a refused entry is never logged.
+            ReplicaState.from_dict(self.state.to_dict()).commit(
+                record["operation"], record["version"],
+                frozenset(record["partition_set"]))
+        except WALCorruptionError as exc:
+            raise ProtocolError(str(exc)) from exc
         self.wal.append(entry)
-        self._apply(entry)
+        self._apply(entry, record)
         if self.applied_index % self.compact_every == 0:
             self.compact()
 
@@ -373,9 +384,11 @@ class DurableReplica:
         return int(operation) > self.state.operation
 
     # ------------------------------------------------------------------
-    def _apply(self, entry: Mapping[str, Any]) -> None:
-        record = _history_entry(entry, self.applied_index + 1,
-                                self.wal.path)
+    def _apply(self, entry: Mapping[str, Any],
+               record: Optional[dict[str, Any]] = None) -> None:
+        if record is None:
+            record = _history_entry(entry, self.applied_index + 1,
+                                    self.wal.path)
         self.state.commit(record["operation"], record["version"],
                           frozenset(record["partition_set"]))
         if entry.get("data") is not None:

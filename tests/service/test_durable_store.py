@@ -160,6 +160,28 @@ class TestCompaction:
         with pytest.raises(ProtocolError):
             store.commit(_write_entry(store, 1, "v1"))
 
+    @pytest.mark.parametrize("entry", [
+        {"operation": 5},
+        {"operation": 5, "version": 0, "partition_set": [1, 2, 3],
+         "kind": "write"},
+        {"operation": 5, "version": 5, "partition_set": [],
+         "kind": "write"},
+        {"operation": 5, "version": 5, "partition_set": [1, 2, 3],
+         "kind": "write", "writes": "k=v"},
+    ], ids=["no-version", "version-backwards", "empty-partition-set",
+            "writes-not-a-map"])
+    def test_a_refused_commit_never_reaches_the_wal(self, tmp_path, entry):
+        store = _open(tmp_path / "s1")
+        store.commit(_write_entry(store, 2, "v2"))
+        wal = (tmp_path / "s1" / "wal.log").read_bytes()
+        before = store.canonical_document()
+        with pytest.raises(ProtocolError):
+            store.commit(entry)
+        assert (tmp_path / "s1" / "wal.log").read_bytes() == wal
+        assert store.canonical_document() == before
+        store.close()
+        assert _open(tmp_path / "s1").canonical_document() == before
+
 
 class TestInstallRemote:
     def test_adopting_a_peer_replaces_everything_durably(self, tmp_path):

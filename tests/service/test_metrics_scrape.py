@@ -18,7 +18,7 @@ from repro.service.replica import ReplicaConfig, ReplicaServer
 HOST = "127.0.0.1"
 
 
-async def _start_cluster(root, n=3):
+async def _start_cluster(root, n=3, fsync="never"):
     sites = list(range(1, n + 1))
     ports = {site: free_port() for site in sites}
     servers = {}
@@ -28,7 +28,7 @@ async def _start_cluster(root, n=3):
             data_dir=str(root / f"site-{site}"),
             peers={peer: (HOST, ports[peer])
                    for peer in sites if peer != site},
-            policy="ODV", fsync="never",
+            policy="ODV", fsync=fsync,
             lease_s=1.0, peer_timeout=0.4,
             recover_interval=5.0,
         )
@@ -54,20 +54,40 @@ async def _ask(port, message, timeout=5.0):
 
 class TestMetricsFrame:
     def test_replica_serves_its_registry(self, tmp_path):
+        """Every series the benchmark's ``--trace`` scrape divides by the
+        operation count is served: a missing one would read as 0."""
+        scraped = {
+            "replica.round.collect.seconds", "replica.round.evaluate.seconds",
+            "replica.round.commit.seconds", "replica.frames",
+            "replica.lease.denied", "service.op.seconds", "wal.records",
+            "wal.bytes", "wal.fsync.seconds",
+        }
+
         async def scenario():
-            servers, ports = await _start_cluster(tmp_path)
+            servers, ports = await _start_cluster(tmp_path, fsync="always")
             try:
                 await _ask(ports[1], {"kind": "put", "key": "k",
                                       "value": "v"})
-                reply = await _ask(ports[1], {"kind": "metrics?"})
-                assert reply["kind"] == "metrics"
-                assert reply["site"] == 1
-                names = {entry["name"]
-                         for entry in reply["metrics"]["series"]}
-                assert "service.ops" in names
-                assert "service.op.seconds" in names
+                # A held lease refuses a second, ticketless requester.
+                assert (await _ask(ports[2], {"kind": "state?",
+                                              "from": 1}))["kind"] == "state"
+                assert (await _ask(ports[2], {"kind": "state?",
+                                              "from": 3}))["kind"] == "busy"
+                await _ask(ports[2], {"kind": "release", "from": 1})
+                served = {}
+                for site, port in ports.items():
+                    reply = await _ask(port, {"kind": "metrics?"})
+                    assert reply["kind"] == "metrics"
+                    assert reply["site"] == site
+                    served[site] = {entry["name"]
+                                    for entry in reply["metrics"]["series"]}
+                missing = scraped - set().union(*served.values())
+                assert not missing, missing
+                own = served[1]
+                assert "service.ops" in own
+                assert "service.op.seconds" in own
                 # Resource gauges ride the same registry.
-                assert "live.proc.rss_bytes" in names
+                assert "live.proc.rss_bytes" in own
             finally:
                 await _stop_all(servers)
         asyncio.run(scenario())

@@ -2,7 +2,9 @@
 
 These run several :class:`ReplicaServer` instances inside one event
 loop (no subprocesses, no proxy) and speak the wire protocol directly;
-the subprocess path is covered by the bench end-to-end test.
+the subprocess path is covered by the bench end-to-end test.  The
+orphan rollback and the crossed-lease tests run the same replica
+machines on the simulated driver (``sim_driver.py``) instead.
 """
 
 import asyncio
@@ -17,6 +19,7 @@ from repro.service.frames import encode_frame, read_frame
 from repro.service.invariants import check_histories, collect_histories
 from repro.service.replica import RECOVERY_MARKER, ReplicaConfig, ReplicaServer
 from repro.service.store import DurableReplica, commit_body, writes_digest
+from sim_driver import SimCluster
 
 HOST = "127.0.0.1"
 
@@ -200,99 +203,64 @@ class TestRecovery:
         asyncio.run(scenario())
 
 
+@pytest.mark.usefixtures("no_wire")
 class TestOrphanRollback:
-    def _replica(self, tmp_path, site):
-        config = ReplicaConfig(
-            site_id=site, host=HOST, port=0,
-            data_dir=str(tmp_path / f"site-{site}"),
-            peers={peer: (HOST, 1) for peer in (1, 2, 3) if peer != site},
-        )
-        server = ReplicaServer(config)
-        server.store = DurableReplica.open(
-            tmp_path / f"site-{site}", site, (1, 2, 3), fsync="never")
-        return server
+    """The recover round's rollback, on the simulated driver: site 1
+    holds an orphan at operation 2, sites 2 and 3 a rival body."""
 
-    def _seed(self, store, value="v1"):
+    @staticmethod
+    def _seed(store, value="v1"):
         store.commit(store.make_entry(
             "write", 1, 1, (1, 2, 3), writes={"k": value}, coordinator=1))
 
-    @staticmethod
-    def _state_reply(site, store):
-        latest = store.history[-1]
-        return {
-            "kind": "state", "site": site,
-            "operation": store.state.operation,
-            "version": store.state.version,
-            "partition_set": sorted(store.state.partition_set),
-            "last": {
-                "operation": latest["operation"],
-                "version": latest["version"],
-                "partition_set": list(latest["partition_set"]),
-                "kind": latest["kind"],
-                "writes_digest": latest["writes_digest"],
-            },
-        }
-
-    def test_majority_rival_forces_rollback(self, tmp_path):
-        holder = self._replica(tmp_path, 1)
-        self._seed(holder.store)
+    def _cluster(self, tmp_path):
+        cluster = SimCluster(tmp_path, recover_interval=None)
+        for node in cluster.nodes.values():
+            self._seed(node.store)
+        holder = cluster.nodes[1].store
         # The orphan: a commit no other site ever received.
-        holder.store.commit(holder.store.make_entry(
+        holder.commit(holder.make_entry(
             "write", 2, 2, (1, 2, 3), writes={"k": "orphan"},
             coordinator=1))
         # The rival: committed by the surviving majority {2, 3}.
-        donor = self._replica(tmp_path, 2)
-        self._seed(donor.store)
-        rival = donor.store.make_entry(
-            "write", 2, 2, (2, 3), writes={"k": "rival"}, coordinator=2)
-        donor.store.commit(rival)
-        replies = {site: self._state_reply(site, donor.store)
-                   for site in (2, 3)}
+        for site in (2, 3):
+            donor = cluster.nodes[site].store
+            donor.commit(donor.make_entry(
+                "write", 2, 2, (2, 3), writes={"k": "rival"},
+                coordinator=2))
+        return cluster
 
-        async def fake_call(site, message):
-            assert message == {"kind": "fetch", "history": True}
-            return {
-                "kind": "data", "site": site,
-                "state": donor.store.state.to_dict(),
-                "data": dict(donor.store.data),
-                "history": [dict(e) for e in donor.store.history],
-            }
-
-        holder._call_peer = fake_call
-        rolled = asyncio.run(holder._maybe_rollback(replies))
-        assert rolled is True
+    def test_majority_rival_forces_rollback(self, tmp_path):
+        cluster = self._cluster(tmp_path)
+        holder, donor = cluster.nodes[1], cluster.nodes[2]
+        status = cluster.drive(1, holder.machine.recover_round())
+        assert status == "rollback"
         assert holder.counters.get("rollbacks") == 1
         assert holder.store.data == {"k": "rival"}
         assert commit_body(holder.store.history[-1]) == \
             commit_body(donor.store.history[-1])
-        holder.store.close()
+        cluster.close()
         # The rollback is durable: the orphan never comes back.
         reopened = DurableReplica.open(
             tmp_path / "site-1", 1, (1, 2, 3), fsync="never")
         assert reopened.data == {"k": "rival"}
         assert writes_digest({"k": "orphan"}) not in {
             entry["writes_digest"] for entry in reopened.history}
+        reopened.close()
 
     def test_minority_rival_stays_put(self, tmp_path):
-        holder = self._replica(tmp_path, 1)
-        self._seed(holder.store)
-        holder.store.commit(holder.store.make_entry(
-            "write", 2, 2, (1, 2, 3), writes={"k": "orphan"},
-            coordinator=1))
-        donor = self._replica(tmp_path, 2)
-        self._seed(donor.store)
-        donor.store.commit(donor.store.make_entry(
-            "write", 2, 2, (2, 3), writes={"k": "rival"}, coordinator=2))
-        # Only one of the rival's two members answered: not provably
+        cluster = self._cluster(tmp_path)
+        # Only one of the rival's two members answers: not provably
         # majority-committed, so safety demands staying put.
-        replies = {2: self._state_reply(2, donor.store)}
-
-        async def fail_fetch(site, message):  # pragma: no cover
-            raise AssertionError("must not fetch without proof")
-
-        holder._call_peer = fail_fetch
-        assert asyncio.run(holder._maybe_rollback(replies)) is False
-        assert holder.store.data == {"k": "orphan"}
+        cluster.partition((1, 2), (3,))
+        machine = cluster.nodes[1].machine
+        collected = cluster.drive(1, machine._collect(None, None))
+        assert sorted(collected.replies) == [1, 2]
+        assert cluster.drive(1, machine._rollback(collected.replies)) \
+            is False
+        assert "fetch" not in {frame[3] for frame in cluster.frames}
+        assert cluster.nodes[1].store.data == {"k": "orphan"}
+        cluster.close()
 
 
 def _dialled(servers):
@@ -323,6 +291,62 @@ async def _slow_first_peer(delay):
             writer.close()
     server = await asyncio.start_server(handle, HOST, 0)
     return server, server.sockets[0].getsockname()[1]
+
+
+_ENTRY = {"kind": "write", "operation": 5, "version": 5,
+          "partition_set": [1, 2, 3], "writes": {"k": "v"}, "data": None}
+
+MALFORMED = {
+    "release from a non-site": {"kind": "release", "from": "x"},
+    "state? from a non-site": {"kind": "state?", "from": [2]},
+    "commit from a non-site": {"kind": "commit", "from": "x",
+                               "entry": _ENTRY},
+    "commit without entry": {"kind": "commit", "from": 2, "entry": 5},
+    "non-integer operation": {"kind": "commit", "from": 2,
+                              "entry": dict(_ENTRY, operation="5")},
+    "commit without version": {"kind": "commit", "from": 2,
+                               "entry": {"operation": 5}},
+    "version going backwards": {"kind": "commit", "from": 2,
+                                "entry": dict(_ENTRY, version=0)},
+}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("frame", MALFORMED.values(), ids=list(MALFORMED))
+    def test_error_reply_and_nothing_logged(self, tmp_path, frame):
+        """A malformed peer frame is answered ``error`` on a connection
+        that stays open, and never reaches the WAL: the replica still
+        restarts over its directory."""
+        wal = tmp_path / "site-1" / "wal.log"
+
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path)
+            try:
+                assert (await _ask(ports[1], {"kind": "put", "key": "k",
+                                              "value": 1}))["ok"]
+                before = wal.read_bytes()
+                reader, writer = await asyncio.open_connection(HOST,
+                                                               ports[1])
+                try:
+                    for message in (frame, {"kind": "ping"}):
+                        writer.write(encode_frame(message))
+                        await writer.drain()
+                        reply = await asyncio.wait_for(read_frame(reader),
+                                                       5.0)
+                        if message is frame:
+                            assert reply["kind"] == "error", reply
+                    assert reply["kind"] == "pong"
+                finally:
+                    writer.close()
+                assert wal.read_bytes() == before
+                await servers[1].stop()
+                servers[1] = ReplicaServer(servers[1].config)
+                await servers[1].start()
+                assert servers[1].recovery_info["verified"] is True
+            finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
 
 
 class TestKeptConnections:
@@ -481,39 +505,29 @@ class TestKeptConnections:
 class TestLeaseQueueing:
     """Contending coordinators queue for the lease instead of sleeping."""
 
+    @pytest.mark.usefixtures("no_wire")
     def test_crossed_first_grants_both_finish_quickly(self, tmp_path):
-        """Started in one loop tick, each coordinator's own site grants
+        """Started at one instant, each coordinator's own site grants
         it first (A holds site 1, B holds site 2); wait-die refuses the
         younger one, which queues and reruns — nobody waits out a time-
-        out.  Traced, the rerun round shows its queueing."""
-        from repro.obs.dtrace import load_span_logs
-
+        out.  The rerun round's queueing is a recorded lease wait."""
         peer_timeout = 4.0  # a wait is bounded at an eighth: 0.5 s
-
-        async def scenario():
-            servers, _ = await _start_cluster(
-                tmp_path, trace=True, peer_timeout=peer_timeout)
-            try:
-                start = asyncio.get_running_loop().time()
-                replies = await asyncio.gather(*(
-                    servers[site]._dispatch(
-                        {"kind": "put", "key": f"k{site}", "value": site})
-                    for site in (1, 2)))
-                elapsed = asyncio.get_running_loop().time() - start
-                assert [reply["ok"] for reply in replies] == [True, True]
-                # The grants did cross: the younger B was refused at 1.
-                assert servers[1].counters.get("busy", 0) >= 1
-                assert elapsed < peer_timeout / 16
-            finally:
-                await _stop_all(servers)
-
-        asyncio.run(scenario())
-        waits = [event for span in load_span_logs(tmp_path)
-                 if span["name"] == "quorum.round"
-                 for event in span.get("events", [])
-                 if event["name"] == "lease.wait"]
-        assert waits and waits[0]["granted"] is True
-        assert 0 <= waits[0]["seconds"] < peer_timeout / 16
+        cluster = SimCluster(tmp_path, peer_timeout=peer_timeout,
+                             recover_interval=None)
+        start = cluster.sim.now
+        boxes = [cluster.submit(site, "put", f"k{site}", site)
+                 for site in (1, 2)]
+        cluster.run_until(lambda: all("reply" in box for box in boxes),
+                          peer_timeout)
+        elapsed = cluster.sim.now - start
+        assert [box["reply"]["ok"] for box in boxes] == [True, True]
+        # The grants did cross: the younger B was refused at 1.
+        assert cluster.nodes[1].counters.get("busy", 0) >= 1
+        assert elapsed < peer_timeout / 16
+        waits = cluster.lease_waits
+        assert waits and waits[0][3] is True
+        assert 0 <= waits[0][2] < peer_timeout / 16
+        cluster.close()
 
     def test_two_clients_on_disjoint_keys_never_contend(self, tmp_path):
         async def scenario():
