@@ -89,6 +89,9 @@ class LeaseTable:
         self.holder: Optional[int] = None
         self.ticket: Optional[Ticket] = None
         self.expires = 0.0
+        #: A request was refused or queued since the lease was granted:
+        #: a holder that keeps re-taking it should let it go.
+        self.contested = False
         #: ``(ticket, holder, empty_handed)``, oldest ticket first.
         self._queue: list[tuple[Ticket, int, bool]] = []
 
@@ -112,7 +115,9 @@ class LeaseTable:
         if ticket is not None and (
                 empty_handed or self.ticket is None or ticket < self.ticket):
             bisect.insort(self._queue, (ticket, holder, empty_handed))
+            self.contested = True
             return WAIT
+        self.contested = True
         return REFUSE
 
     def release(self, holder: int, now: float) -> Released:
@@ -138,3 +143,4 @@ class LeaseTable:
                now: float) -> None:
         self.holder, self.ticket = holder, ticket
         self.expires = now + self.duration
+        self.contested = False

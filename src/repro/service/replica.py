@@ -6,9 +6,12 @@ module keeps what needs a socket, a clock or a task: the TCP frame
 server and kept peer links, the loop that steps the machine's round
 generators (remote sites are sent to first and this site's handler runs
 inline last, so a local WAL append + fsync overlaps the peers' work),
-one future per ``state?`` queued for the lease (bounded at an eighth of
-``peer_timeout``, :mod:`repro.service.lease` says why), the coordinator
-lock, the jittered RECOVER timer, spans, metrics and the lifecycle.
+one future per queued client operation (a task drains the machine's
+pipeline while any is queued) and per ``state?`` queued for the lease
+(bounded at an eighth of ``peer_timeout``, :mod:`repro.service.lease`
+says why), forwarding a client operation the machine names a holder
+for, the coordinator lock, the jittered RECOVER timer, spans, metrics
+and the lifecycle.
 
 A restarting replica recovers from snapshot + WAL, verifies the replay
 against an independent cold read and writes the result to a
@@ -19,6 +22,7 @@ run until a quorum reinserts it.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import random
 import time as _time
@@ -37,10 +41,11 @@ from repro.obs.dtrace.spans import SPAN_LOG_NAME, JsonlSpanSink, Span, \
     SpanRecorder
 from repro.obs.live.export import render_prometheus
 from repro.obs.live.resources import ResourceSampler
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.frames import FrameError, encode_frame, read_frame
-from repro.service.machine import QUEUED, RELEASE, ReplicaMachine, Send, \
-    Steps
+from repro.service.machine import QUEUED, RELEASE, ReplicaMachine, \
+    Reply, Send, Steps
 from repro.service.store import DurableReplica
 
 __all__ = ["ReplicaConfig", "ReplicaServer", "serve_replica"]
@@ -123,13 +128,14 @@ class ReplicaServer:
     Connection rules: an accepted connection serves frames until its
     peer closes it, and this replica keeps one link per peer site,
     carrying one request at a time — taken out of the table while a
-    request is in flight, put back only after a complete reply (rounds
-    are serialised by the coordinator lock, so no two requests want
-    one link).  A time-out or torn frame closes the link and counts
-    the peer as silent this round; only an EOF or reset on a *reused*
-    link — the peer restarted since it was last used — is redialled
-    once first.  :meth:`stop` closes every accepted connection and
-    every kept link, so a stopped replica is silent.
+    request is in flight, put back only after a complete reply.  A
+    request that finds the link in flight (a forward beside a round or
+    another forward) dials its own, and closes it after the reply if
+    the kept link is back by then.  A time-out or torn frame closes
+    the link and counts the peer as silent this round; only an EOF or
+    reset on a *reused* link — the peer restarted since it was last
+    used — is redialled once first.  :meth:`stop` closes every accepted
+    connection and every kept link, so a stopped replica is silent.
     """
 
     def __init__(self, config: ReplicaConfig):
@@ -151,6 +157,11 @@ class ReplicaServer:
         self._coord_lock = asyncio.Lock()
         #: One future per queued ``state?`` request, by requesting site.
         self._waiting: dict[int, asyncio.Future[bool]] = {}
+        #: ``(future, span)`` per queued client operation, by its id.
+        self._ops: dict[int, tuple[asyncio.Future[dict[str, Any]],
+                                   Optional[Span]]] = {}
+        self._op_ids = itertools.count(1)
+        self._drainer: Optional[asyncio.Task] = None
         self._rng = random.Random(f"replica:{config.site_id}")
         self._stopped = asyncio.Event()
 
@@ -177,7 +188,8 @@ class ReplicaServer:
         self.machine = ReplicaMachine(
             self.site_id, self.config.copy_sites, self.config.policy,
             self.store, segments=self.config.segments,
-            lease_s=self.config.lease_s, metrics=self.metrics,
+            lease_s=self.config.lease_s,
+            follow_s=self.config.peer_timeout / 8, metrics=self.metrics,
             counters=self.counters, recovery=self.recovery_info,
         )
         if self.config.trace:
@@ -205,13 +217,16 @@ class ReplicaServer:
 
     async def stop(self) -> None:
         """Stop serving, cancel background work, close the WAL."""
-        if self._recover_task is not None:
-            self._recover_task.cancel()
-            try:
-                await self._recover_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._recover_task = None
+        for task in (self._recover_task, self._drainer):
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):
+                    pass
+        self._recover_task = self._drainer = None
+        for future, _ in self._ops.values():
+            future.cancel()
         for _, writer in self._links.values():
             writer.close()
         self._links.clear()
@@ -439,7 +454,10 @@ class ReplicaServer:
                 if reply is None and link is not None:
                     link[1].close()
             if reply is not None:
-                self._links[site] = link
+                if site in self._links:  # an overlapping request's link
+                    link[1].close()
+                else:
+                    self._links[site] = link
                 return reply
             if not reused:
                 return None
@@ -470,10 +488,18 @@ class ReplicaServer:
 
         Sends go out as one broadcast each; a client round's collect
         and commit stages are timed, and its queueing at a refusing
-        site is a ``lease.wait`` event.  Traced, the machine's span
-        records open, annotate and finish children of *span*.
+        site is a ``lease.wait`` event.  A :class:`Reply` resolves its
+        operation's future.  Traced, the machine's span records open,
+        annotate and finish children of *span*, or of the named
+        operation's ``replica.<op>`` span.
         """
-        spans = [span]
+        stacks: dict[Any, list[Optional[Span]]] = {None: [span]}
+
+        def stack(op: Any) -> list[Optional[Span]]:
+            if op not in stacks:
+                stacks[op] = [self._ops[op][1] if op in self._ops else None]
+            return stacks[op]
+
         reply: Any = None
         while True:
             try:
@@ -484,51 +510,96 @@ class ReplicaServer:
             if effect is RELEASE:
                 self._wake(self.machine.release(  # type: ignore[union-attr]
                     self.site_id, self._now()))
+            elif isinstance(effect, Reply):
+                future = self._ops.get(effect.op_id, (None,))[0]
+                if future is not None and not future.done():
+                    future.set_result(effect.result)
             elif isinstance(effect, Send):
+                parent = stack(effect.op)[-1]
                 start = _time.perf_counter()
                 reply = await self._broadcast(
-                    effect.messages, spans[-1] if effect.traced else None)
+                    effect.messages, parent if effect.traced else None)
                 elapsed = _time.perf_counter() - start
                 if effect.stage in ("collect", "commit"):
                     self.metrics.histogram(
                         f"replica.round.{effect.stage}.seconds"
                     ).observe(elapsed)
-                elif effect.stage == "queue" and spans[-1] is not None:
+                elif effect.stage == "queue" and parent is not None:
                     [(site, answer)] = reply.items()
-                    spans[-1].event(
+                    parent.event(
                         "lease.wait", site=site, seconds=elapsed,
                         granted=(answer or {}).get("kind") == "state")
-            elif spans[-1] is not None:
+            else:
+                spans = stack(effect.op)
+                if spans[-1] is None:
+                    continue
                 if effect.action == "open":
                     spans.append(self.recorder.span(  # type: ignore[union-attr]
                         effect.name, parent=spans[-1], **effect.fields))
                 elif effect.action == "event":
                     spans[-1].event(effect.name, **effect.fields)
-                else:
+                elif len(spans) > 1:  # the root is its owner's to finish
                     spans.pop().finish(effect.name, **effect.fields)
 
     async def _on_client_op(
         self, message: Mapping[str, Any], span: Optional[Span] = None,
     ) -> dict[str, Any]:
+        """Forward a client operation, or queue it for the pipeline and
+        wait for its reply."""
         assert self.machine is not None
-        op = str(message["kind"])
+        op = kind = str(message["kind"])
+        holder = self.machine.forward_to(message, self._now())
+        if holder is not None:
+            reply = self.machine.relay(await self._call_peer(
+                holder, dict(message, forwarded=True), span))
+            if reply is not None:
+                # Timed where it ran: the holder observed service.op.
+                return reply
+            kind = "probe"
         start = _time.perf_counter()
         outcome = "error"
+        op_id = next(self._op_ids)
+        future = asyncio.get_running_loop().create_future()
+        self._ops[op_id] = (future, span)
         try:
-            async with self._coord_lock:
-                response = await self._run(self.machine.client_op(
-                    op, message.get("key"), message.get("value"),
-                    [_time.time(), self.site_id]), span)
+            refused = self.machine.submit(
+                op_id, kind, message.get("key"), message.get("value"),
+                [_time.time(), self.site_id])
+            if refused is not None:
+                return refused
+            if self._drainer is None:
+                self._drainer = asyncio.create_task(self._drain())
+            response = await future
             outcome = "ok" if response.get("ok") \
                 else str(response.get("outcome", "error"))
             return response
         finally:
+            self._ops.pop(op_id, None)
             # Replica-side availability: what this cluster answered,
             # regardless of what any one client managed to observe.
             self.metrics.counter("service.ops", op=op,
                                  outcome=outcome).inc()
             self.metrics.histogram("service.op.seconds", op=op).observe(
                 _time.perf_counter() - start)
+
+    async def _drain(self) -> None:
+        """Run the machine's pipeline while client operations are queued,
+        taking the coordinator lock afresh for each run, so a RECOVER
+        round the pipeline made way for goes first."""
+        machine = self.machine
+        assert machine is not None
+        try:
+            while machine.queued:
+                async with self._coord_lock:
+                    await self._run(machine.pipeline())
+        except Exception:
+            # The machine answered every queued operation and freed its
+            # leases before raising; the next operation drains anew.
+            self._count("errors")
+            get_logger("service").exception("replica %d: pipeline failed",
+                                             self.site_id)
+        finally:
+            self._drainer = None
 
     # ------------------------------------------------------------------
     # RECOVER / anti-entropy loop
@@ -540,6 +611,7 @@ class ReplicaServer:
         while True:
             await asyncio.sleep(
                 self.config.recover_interval * (0.5 + self._rng.random()))
+            self.machine.recover_due = True  # type: ignore[union-attr]
             try:
                 async with self._coord_lock:
                     await self._recover_round()

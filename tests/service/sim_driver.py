@@ -14,9 +14,12 @@ with asyncio, on simulated time:
   with ``None``; remote sites are sent to first and the local handler
   runs inline last;
 * a queued ``state?`` waits at most ``peer_timeout / 8``;
+* a client operation is forwarded when the machine says so, or queued,
+  and one pipeline runs the queue;
 * one coordination generator at a time per site (the coordinator
   lock), and a RECOVER tick every ``recover_interval * (0.5 + u)``
-  with ``u`` drawn from the cluster's seeded generator;
+  with ``u`` drawn from the cluster's seeded generator; the tick sets
+  the machine's ``recover_due``, so a running pipeline makes way;
 * fault rules: directed drops per link, optionally per frame kind
   (:meth:`SimCluster.drop`, :meth:`SimCluster.partition`), and
   "the coordinator dies after k of its n COMMIT sends"
@@ -28,6 +31,7 @@ the same calls give the same log.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 import random
@@ -40,7 +44,8 @@ from repro.errors import (
     ServiceError,
     WALCorruptionError,
 )
-from repro.service.machine import QUEUED, RELEASE, ReplicaMachine, Send
+from repro.service.machine import QUEUED, RELEASE, ReplicaMachine, \
+    Reply, Send
 from repro.service.store import DurableReplica
 from repro.sim import Simulation
 
@@ -60,6 +65,9 @@ class SimNode:
         self.counters: dict[str, int] = {}
         self._jobs: deque = deque()
         self._locked = False
+        #: Who answers each queued client operation, by operation id.
+        self._replies: dict[int, Respond] = {}
+        self._draining = False
         #: Queued ``state?`` requests: ``{holder: (message, respond, timer)}``.
         self._waiting: dict[int, tuple] = {}
         self._crash_after: Optional[int] = None
@@ -79,7 +87,8 @@ class SimNode:
         self.counters = {}
         self.machine = ReplicaMachine(
             self.site, frozenset(sites), self.cluster.policy, self.store,
-            lease_s=self.cluster.lease_s, counters=self.counters,
+            lease_s=self.cluster.lease_s,
+            follow_s=self.cluster.peer_timeout / 8, counters=self.counters,
             recovery=recovery)
         self.up = True
         self.epoch += 1
@@ -91,14 +100,60 @@ class SimNode:
         self.epoch += 1
         self._jobs.clear()
         self._locked = False
+        self._replies.clear()
+        self._draining = False
         for _, _, timer in self._waiting.values():
             self.cluster.sim.cancel(timer)
         self._waiting.clear()
         self._crash_after = None
         self.store.close()  # type: ignore[union-attr]
 
-    # -- serving peer frames ---------------------------------------------
+    # -- serving frames --------------------------------------------------
+    def client(self, message: dict, respond: Respond) -> None:
+        """A client operation arrives: forward it or queue it."""
+        if not self.up:
+            return
+        holder = self.machine.forward_to(  # type: ignore[union-attr]
+            message, self.cluster.sim.now)
+        if holder is None:
+            self._queue(message["kind"], message, respond)
+            return
+
+        def relayed(reply: Optional[dict]) -> None:
+            relay = self.machine.relay(reply)  # type: ignore[union-attr]
+            if relay is None:
+                self._queue("probe", message, respond)
+            else:
+                respond(relay)
+
+        self.cluster.request(self.site, holder,
+                             dict(message, forwarded=True), relayed)
+
+    def _queue(self, kind: str, message: dict, respond: Respond) -> None:
+        machine = self.machine
+        op_id = next(self.cluster.op_ids)
+        refused = machine.submit(  # type: ignore[union-attr]
+            op_id, kind, message.get("key"), message.get("value"),
+            [self.cluster.sim.now, self.site])
+        if refused is not None:
+            respond(refused)
+            return
+        self._replies[op_id] = respond
+        if not self._draining:
+            self._draining = True
+            self.run(machine.pipeline, self._drained)  # type: ignore[union-attr]
+
+    def _drained(self, result: Any) -> None:
+        if self.machine.queued:  # type: ignore[union-attr]
+            self.run(self.machine.pipeline,  # type: ignore[union-attr]
+                     self._drained)
+        else:
+            self._draining = False
+
     def serve(self, message: dict, respond: Respond) -> None:
+        if message.get("kind") in ("get", "put"):
+            self.client(message, respond)
+            return
         reply, wakes = self.machine.handle(  # type: ignore[union-attr]
             message, self.cluster.sim.now)
         self._wake(wakes)
@@ -138,7 +193,7 @@ class SimNode:
             self._next_job()
 
     def _next_job(self) -> None:
-        if not self._jobs or not self.up:
+        if self._locked or not self._jobs or not self.up:
             return
         start, done = self._jobs.popleft()
         self._locked = True
@@ -164,6 +219,10 @@ class SimNode:
             if effect is RELEASE:
                 self._wake(self.machine.release(  # type: ignore[union-attr]
                     self.site, self.cluster.sim.now))
+            elif isinstance(effect, Reply):
+                respond = self._replies.pop(effect.op_id, None)
+                if respond is not None:
+                    respond(effect.result)
             elif isinstance(effect, Send):
                 self._scatter(effect, lambda replies: self._step(
                     steps, replies, done, epoch))
@@ -183,7 +242,7 @@ class SimNode:
                          key=lambda site: (site == self.site, site))
         replies: dict[int, Optional[dict]] = {}
         started = cluster.sim.now
-        commits = all(message.get("kind") == "commit"
+        commits = any(message.get("kind") == "commit"
                       for message in send.messages.values())
 
         def collect(site: int, reply: Optional[dict]) -> None:
@@ -216,6 +275,7 @@ class SimNode:
 
         def tick() -> None:
             if self.epoch == epoch:
+                self.machine.recover_due = True  # type: ignore[union-attr]
                 self.run(self.machine.recover_round,  # type: ignore[union-attr]
                          lambda status: self._schedule_recover())
 
@@ -247,8 +307,10 @@ class SimCluster:
         self.peer_timeout = peer_timeout
         self.recover_interval = recover_interval
         self.rng = random.Random(seed)
+        self.op_ids = itertools.count(1)
         self.sim = Simulation()
-        #: ``(time, src, dst, kind, fate)`` for every frame sent.
+        #: ``(time, src, dst, kind, fate)`` for every frame sent; a frame
+        #: carrying ``then`` is logged as ``<kind>+state?``.
         self.frames: list[tuple] = []
         #: ``(site, waited at, seconds, granted)`` per lease-queue wait.
         self.lease_waits: list[tuple] = []
@@ -290,6 +352,7 @@ class SimCluster:
         the peer time-out)."""
         message = json.loads(json.dumps(dict(message, **{"from": src})))
         kind = message.get("kind")
+        label = f"{kind}+state?" if "then" in message else kind
         node = self.nodes[dst]
         pending = {"open": True}
         epoch = self.nodes[src].epoch
@@ -304,13 +367,13 @@ class SimCluster:
         timer = self.sim.schedule(self.peer_timeout,
                                   lambda: answer(None, timed_out=True))
         if dst == src:
-            self.frames.append((self.sim.now, src, dst, kind, "local"))
+            self.frames.append((self.sim.now, src, dst, label, "local"))
             node.serve(message, answer)
             return
         if self._dropped(src, dst, kind) or not node.up:
-            self.frames.append((self.sim.now, src, dst, kind, "lost"))
+            self.frames.append((self.sim.now, src, dst, label, "lost"))
             return
-        self.frames.append((self.sim.now, src, dst, kind, "sent"))
+        self.frames.append((self.sim.now, src, dst, label, "sent"))
         dst_epoch = node.epoch
 
         def respond(reply: Optional[dict]) -> None:
@@ -326,15 +389,20 @@ class SimCluster:
         self.sim.schedule(self.latency, deliver)
 
     # -- driving ---------------------------------------------------------
-    def submit(self, site: int, op: str, key: str,
-               value: Any = None) -> dict:
-        """Queue a client operation at *site*; the returned dict gets
-        the reply under ``"reply"`` when the operation ends."""
+    def submit(self, site: int, op: str, key: str, value: Any = None,
+               on_reply: Optional[Respond] = None) -> dict:
+        """Send a client operation to *site*; the returned dict gets the
+        reply under ``"reply"`` when the operation ends, and *on_reply*
+        is called with it."""
         box: dict = {}
-        node = self.nodes[site]
-        node.run(lambda: node.machine.client_op(  # type: ignore[union-attr]
-            op, key, value, [self.sim.now, site]),
-                 lambda reply: box.update(reply=reply))
+
+        def done(reply: Optional[dict]) -> None:
+            box["reply"] = reply
+            if on_reply is not None:
+                on_reply(reply)
+
+        self.nodes[site].client({"kind": op, "key": key, "value": value},
+                                done)
         return box
 
     def call(self, site: int, op: str, key: str, value: Any = None,
