@@ -92,6 +92,26 @@ class TestCollectHistories:
         assert check_histories(histories) == []
 
 
+    def test_a_batched_commit_is_one_body_over_every_key(self, tmp_path):
+        """A group COMMIT's ``writes`` holds several keys under one
+        ``(o, v)``: the same batch everywhere is safe, and a site that
+        applied only part of it under the same number diverged."""
+        batch = {"a": 1, "b": 2, "c": None}
+        for site, writes in ((1, batch), (2, dict(reversed(batch.items()))),
+                             (3, {"a": 1, "b": 2})):
+            store = DurableReplica.open(
+                tmp_path / f"site-{site}", site, SITES, fsync="never")
+            store.commit(store.make_entry("write", 1, 1, SITES,
+                                          writes=writes, coordinator=1))
+            store.close()
+        histories = collect_histories(tmp_path, SITES)
+        assert check_histories({site: histories[site] for site in (1, 2)}) \
+            == []
+        violations = check_histories(collect_histories(tmp_path, SITES))
+        assert [v["invariant"] for v in violations] == ["divergent-commit"]
+        assert violations[0]["site"] == 3
+
+
 class TestCompactedClusterSweep:
     """The streamed sweep over what a compacted, crashed cluster leaves:
     site 1 compacted many times, site 2 on a version-1 snapshot, site 3

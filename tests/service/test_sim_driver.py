@@ -17,12 +17,11 @@ pytestmark = pytest.mark.usefixtures("no_wire")
 
 
 def _partial_commit(root, policy, n, sent, seed=0, drop_commits=False,
-                    survivor_writes=6, fused=False):
+                    survivor_writes=6, batched=False):
     """Three writes, then a write whose coordinator (site 1) dies after
-    *sent* COMMIT frames (*fused*: with a second write queued behind
-    it, so each frame also carries that write's ``state?``); the
-    survivors write and recover, site 1 restarts.  Returns the settled
-    cluster."""
+    *sent* COMMIT frames (*batched*: with a second write queued behind
+    it, so the frames carry both as one batch); the survivors write and
+    recover, site 1 restarts.  Returns the settled cluster."""
     cluster = SimCluster(root, n=n, policy=policy, seed=seed)
     for i in range(3):
         assert cluster.call(1 + i % n, "put", "k", i)["ok"]
@@ -31,15 +30,17 @@ def _partial_commit(root, policy, n, sent, seed=0, drop_commits=False,
             cluster.drop(1, site, "commit")
     cluster.crash_after_commits(1, sent)
     before = len(cluster.frames)
-    boxes = [cluster.submit(1, "put", "k", "partial")]
-    if fused:
-        boxes.append(cluster.submit(1, "put", "k", "queued"))
+    if batched:
+        boxes = [cluster.submit(1, "put", "a", "partial"),
+                 cluster.submit(1, "put", "b", "partial")]
+    else:
+        boxes = [cluster.submit(1, "put", "k", "partial")]
     cluster.run_until(lambda: not cluster.nodes[1].up, 10.0)
     assert not cluster.nodes[1].up
     assert not any("reply" in box for box in boxes)
     commits = {frame[3] for frame in cluster.frames[before:]
                if frame[1] == 1 and frame[3].startswith("commit")}
-    assert commits == ({"commit+state?"} if fused and sent else
+    assert commits == ({"commit[2]"} if batched and sent else
                        {"commit"} if sent else set())
     cluster.heal()
     cluster.settle(1.5)  # the dead coordinator's leases expire
@@ -79,10 +80,10 @@ def test_partial_commit_then_restart_stays_safe(tmp_path, policy, n, sent):
                          [(3, k) for k in range(4)] + [(5, k) for k in range(6)])
 def test_fused_partial_commit_then_restart_stays_safe(tmp_path, policy, n,
                                                       sent):
-    """The same sweep over COMMIT frames that carry the next write's
-    ``state?``: a fused frame is a commit followed by a collect on the
-    same link, so a partial one is no new case."""
-    cluster = _partial_commit(tmp_path, policy, n, sent, fused=True)
+    """The same sweep over one COMMIT that carries a batch of two
+    writes (to keys ``a`` and ``b``): after the restart both are
+    readable, or neither is."""
+    cluster = _partial_commit(tmp_path, policy, n, sent, batched=True)
     try:
         assert check_histories(collect_histories(tmp_path, cluster.sites)) \
             == []
@@ -91,6 +92,8 @@ def test_fused_partial_commit_then_restart_stays_safe(tmp_path, policy, n,
                   for node in cluster.nodes.values()}
         assert len(states) == 1
         assert cluster.call(1, "get", "k")["value"] == "s5"
+        batch = [cluster.call(1, "get", key)["value"] for key in "ab"]
+        assert batch in (["partial"] * 2, [None] * 2), batch
     finally:
         cluster.close()
 
