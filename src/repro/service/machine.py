@@ -20,6 +20,8 @@ shape (Figures 1–3): collect ``(o, v, P)`` under the lease, release and
 give up when a site refused it, take the quorum decision, send COMMIT,
 release.  A granted client round answers a batch: its own operation and
 the ``get``/``put`` queued behind it, under one COMMIT (group commit).
+A ``get`` first runs a lease-free peek, which answers it alone when the
+read's COMMIT would change nothing but ``o`` (one-round read).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.service.lease import GRANT, WAIT, LeaseTable, as_ticket
-from repro.service.quorum import evaluate_round, plan_commit
+from repro.service.quorum import evaluate_round, one_round_read, \
+    plan_commit
 from repro.service.store import DurableReplica
 
 __all__ = ["MAX_ROUNDS", "QUEUED", "RELEASE",
@@ -221,6 +224,9 @@ class ReplicaMachine:
 
     def _on_state(self, message: Mapping[str, Any],
                   now: float) -> tuple[Optional[dict[str, Any]], Wakes]:
+        if message.get("peek"):
+            # Takes, refreshes and queues for no lease; changes nothing.
+            return self.answer_state(message, True), ()
         holder = _site_field(message)
         # Only a client round's state? names a key.
         if message.get("key") is None:
@@ -241,7 +247,8 @@ class ReplicaMachine:
     def answer_state(self, message: Mapping[str, Any],
                      granted: bool) -> dict[str, Any]:
         """The reply to a ``state?``: this site's ``(o, v, P)`` (and the
-        asked key's value) when *granted* the lease, else ``busy``."""
+        asked key's value) when *granted* the lease (or it is a
+        ``peek``), else ``busy``."""
         if not granted:
             self._count("busy")
             self.metrics.counter("replica.lease.denied").inc()
@@ -385,8 +392,9 @@ class ReplicaMachine:
         :data:`MAX_ROUNDS` rounds) and answers the batch its decision
         took (:meth:`_batch`) under one COMMIT, then releases every
         lease, so whenever anyone else wants one it is free between
-        rounds.  A round that raises releases every lease it may hold
-        and answers every queued operation ``error``.
+        rounds.  A ``get``'s first round may be its peek alone
+        (:meth:`_peek`).  A round that raises releases every lease it
+        may hold and answers every queued operation ``error``.
         """
         while self._queue and not self.recover_due:
             op = self._queue[0]
@@ -431,9 +439,17 @@ class ReplicaMachine:
         may wait whatever its age) at the site that refused the last
         one.  Returns that site when one refused the lease, else the
         replies of the batch the round answered, in queue order.
-        Traced, the round is one ``quorum.round`` span.
+        Traced, the round is one ``quorum.round`` span.  A ``get``'s
+        first round starts with its peek, and when that falls back the
+        collect asks only the sites that answered it.
         """
         tag = op.op_id
+        asked = None
+        if op.op == "get" and op.rounds == 1:
+            peeked = yield from self._peek(op)
+            if isinstance(peeked, dict):
+                return [peeked]
+            asked = peeked
         if self.traced:
             yield Trace("open", "quorum.round", dict(
                 op=op.op, policy=self.policy, coordinator=self.site_id), tag)
@@ -441,7 +457,8 @@ class ReplicaMachine:
             yield Send({op.queue_at: {"kind": "state?", "key": op.key,
                                       "ticket": op.ticket, "queue": True}},
                        "queue", op=tag)
-        got = yield from self._collect(op.key, op.ticket, "collect", tag)
+        got = yield from self._collect(op.key, op.ticket, "collect", tag,
+                                       asked)
         if got.busy:
             if self.traced:
                 yield Trace("finish", "busy", {}, tag)
@@ -530,6 +547,34 @@ class ReplicaMachine:
                            "operation": plan.operation, "site": self.site_id}
                 for result in results]
 
+    def _peek(self, op: _Op) -> Steps:
+        """*op*'s lease-free ``state?`` peek at every copy site.  Returns
+        the ``get``'s reply when :func:`~repro.service.quorum.
+        one_round_read` holds over the replies (docs/CORRECTNESS.md
+        §11), else the sites that answered.  Traced, the peek is one
+        ``quorum.peek`` span."""
+        tag = op.op_id
+        if self.traced:
+            yield Trace("open", "quorum.peek", dict(
+                op=op.op, policy=self.policy, coordinator=self.site_id), tag)
+        got = yield from self._collect(op.key, None, "collect", tag,
+                                       peek=True)
+        verdict, replica_set, protocol = yield from self._decide(
+            got.states, timed=True, op=tag)
+        lasts = {site: reply.get("last")
+                 for site, reply in got.replies.items()}
+        if not one_round_read(verdict, replica_set, protocol, got.states,
+                              lasts):
+            self._count("reads.peek.fallback")
+            if self.traced:
+                yield Trace("finish", "fallback", {}, tag)
+            return frozenset(got.states)
+        self._count("reads.peek")
+        self._count("granted.get")
+        if self.traced:
+            yield Trace("finish", "ok", {}, tag)
+        return self._read(op, verdict, got, True)
+
     def _batch(self, verdict: Any) -> list[_Op]:
         """What a granted round answers: the first queued operation,
         then each ``get``/``put`` behind it up to the first one whose key
@@ -556,9 +601,12 @@ class ReplicaMachine:
                 "site": self.site_id, "source": source}
 
     def _collect(self, key: Optional[str], ticket: Optional[list[Any]],
-                 stage: Optional[str] = None, op: Any = None) -> Steps:
-        """Ask every copy site for its ``(o, v, P)`` (and *key*'s value).
-        Without a *ticket* no site makes the request wait.
+                 stage: Optional[str] = None, op: Any = None,
+                 sites: Optional[frozenset[int]] = None,
+                 peek: bool = False) -> Steps:
+        """Ask every copy site (or only *sites*) for its ``(o, v, P)``
+        (and *key*'s value).  Without a *ticket* no site makes the
+        request wait; a *peek* takes no lease at all.
 
         When a site refused the lease the round must end, so two
         coordinators never interleave commits: every lease this round
@@ -569,7 +617,10 @@ class ReplicaMachine:
             message["key"] = key
         if ticket is not None:
             message["ticket"] = ticket
-        raw = yield Send({site: message for site in sorted(self.copy_sites)},
+        if peek:
+            message["peek"] = True
+        asked = self.copy_sites if sites is None else sites
+        raw = yield Send({site: message for site in sorted(asked)},
                          stage, op=op)
         states: States = {}
         values: dict[Any, Any] = {}
@@ -593,7 +644,8 @@ class ReplicaMachine:
             replies[site] = dict(reply)
             if "value" in reply:
                 values[site] = reply["value"]
-        self._held = frozenset(states)
+        if not peek:
+            self._held = frozenset(states)
         if self.traced:
             yield Trace("event", "state.collect", dict(
                 responders=sorted(states),

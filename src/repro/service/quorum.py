@@ -13,16 +13,19 @@ The decision and the COMMIT are core's: :func:`evaluate_round` is
 :func:`repro.core.rounds.decide` over the collected ``(o, v, P)``
 triples, and :func:`plan_commit` reads the protocol's
 :meth:`~repro.core.base.VotingProtocol.commit_for`.
+:func:`one_round_read` says when a read's COMMIT would change nothing
+but ``o``, so a lease-free peek may answer it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, AbstractSet, Iterable, Mapping, NamedTuple, \
+    Optional, Tuple
 
 from repro.core.base import DynamicVotingFamily, Verdict, VotingProtocol
 from repro.core.registry import make_protocol
-from repro.core.rounds import decide
+from repro.core.rounds import commit_body, decide
 from repro.errors import ConfigurationError
 from repro.net.sites import Site, lowest_site, mask_sites, site_mask
 from repro.replica.state import ReplicaSet
@@ -31,6 +34,7 @@ __all__ = [
     "ClusterView",
     "CommitPlan",
     "evaluate_round",
+    "one_round_read",
     "plan_commit",
 ]
 
@@ -196,3 +200,42 @@ def plan_commit(
         anchor=min(verdict.newest),
         recipients=commit.recipients,
     )
+
+
+def one_round_read(
+    verdict: Verdict,
+    replica_set: ReplicaSet,
+    protocol: Optional[VotingProtocol],
+    states: Mapping[int, tuple[int, int, AbstractSet[int]]],
+    lasts: Mapping[int, Any],
+) -> bool:
+    """Whether a read granted over *states* commits nothing but a
+    bumped ``o``, on copies that already hold the anchor's state.
+
+    True when *verdict* is granted and every member of the anchor's
+    ``P_m`` answered the anchor's exact triple with the same
+    :func:`~repro.core.rounds.commit_body` of its last commit (*lasts*:
+    ``{site: its "last" entry or None}``), and, for a protocol that
+    commits on a read, the read's COMMIT installs that same ``P`` at
+    exactly ``P_m``.  Then skipping the COMMIT is an order-preserving
+    relabel of ``o`` (docs/CORRECTNESS.md §11), and the newest copy's
+    value answers the read.  *verdict*, *replica_set* and *protocol*
+    are :func:`evaluate_round`'s.
+    """
+    if not verdict.granted or protocol is None:
+        return False
+    anchor = states[verdict.reference]
+    members = anchor[2]
+    if not all(states.get(site) == anchor for site in members):
+        return False
+    try:
+        bodies = {None if lasts.get(site) is None
+                  else commit_body(lasts[site]) for site in members}
+    except (KeyError, TypeError, ValueError):
+        return False  # a malformed "last" proves nothing
+    if len(bodies) != 1:
+        return False
+    if not protocol.commits_on_read:
+        return True
+    plan = plan_commit(verdict, replica_set, "read", protocol=protocol)
+    return plan.partition_set == members == plan.recipients

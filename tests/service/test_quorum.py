@@ -15,7 +15,8 @@ from repro.errors import (
 from repro.experiments.configs import CONFIGURATIONS
 from repro.experiments.testbed import testbed_topology
 from repro.replica.state import ReplicaSet
-from repro.service.quorum import ClusterView, evaluate_round, plan_commit
+from repro.service.quorum import ClusterView, evaluate_round, \
+    one_round_read, plan_commit
 
 ALL = frozenset({1, 2, 3})
 
@@ -126,6 +127,53 @@ class TestPlanCommit:
             plan_commit(verdict, replica_set, "compare-and-swap")
 
 
+def _one_round(states, policy="ODV", lasts=None, copies=ALL):
+    verdict, replica_set, protocol = evaluate_round(policy, states, copies)
+    if lasts is None:
+        lasts = dict.fromkeys(states)
+    return one_round_read(verdict, replica_set, protocol, states, lasts)
+
+
+class TestOneRoundRead:
+    LAST = {"operation": 1, "version": 1, "partition_set": [1, 2, 3],
+            "kind": "write", "writes_digest": "d"}
+
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
+    def test_every_copy_on_one_triple_and_body(self, policy):
+        assert _one_round(_states([1, 2, 3]), policy,
+                          dict.fromkeys(ALL, self.LAST))
+
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
+    def test_a_silent_member_falls_back(self, policy):
+        assert not _one_round(_states([1, 2]), policy)
+
+    def test_a_member_behind_falls_back(self):
+        states = _states([1, 2], o=2, v=2)
+        states[3] = (1, 1, ALL)
+        assert not _one_round(states)
+
+    def test_a_copy_that_missed_only_reads_falls_back(self):
+        # Sites 1 and 2 read without site 3, which still holds the newest
+        # version: the leased read's COMMIT folds it back into P.
+        states = _states([1, 2], o=2, v=1, members={1, 2})
+        states[3] = (1, 1, ALL)
+        assert not _one_round(states)
+
+    def test_a_rival_body_falls_back(self):
+        lasts = dict.fromkeys(ALL, self.LAST)
+        lasts[2] = dict(self.LAST, writes_digest="rival")
+        assert not _one_round(_states([1, 2, 3]), lasts=lasts)
+
+    def test_a_malformed_last_falls_back(self):
+        lasts = dict.fromkeys(ALL, self.LAST)
+        lasts[3] = {"operation": 1}
+        assert not _one_round(_states([1, 2, 3]), lasts=lasts)
+
+    def test_a_denied_round_falls_back(self):
+        assert not _one_round(_states([1]))
+        assert not _one_round({})
+
+
 TESTBED = testbed_topology()
 SEGMENTS = {site: TESTBED.segment_of(site) for site in TESTBED.site_ids}
 
@@ -180,6 +228,19 @@ def _check_round(policy, protocol, view, block):
                                plan.partition_set), (policy, kind, site)
             else:
                 assert now == was, (policy, kind, site)
+    if one_round_read(verdict, replica_set, service, states,
+                      dict.fromkeys(states)):
+        # Core's read changes o -> o+1 on the members of P_m and nothing
+        # else (nothing at all under MCV): skipping it relabels o.
+        o, v, members = states[verdict.reference]
+        after = copy.deepcopy(protocol)
+        after.read(view, coordinator)
+        for site in copies:
+            was = protocol.replicas.state(site).snapshot()
+            now = after.replicas.state(site).snapshot()
+            bumped = service.commits_on_read and site in members
+            assert now == ((o + 1, v, members) if bumped else was), (
+                policy, site)
 
 
 class TestAgreesWithCore:

@@ -643,3 +643,27 @@ class TestTracing:
         procs = trace.procs()
         assert "client-0" in procs
         assert any(proc.startswith("site-") for proc in procs)
+
+    def test_a_traced_get_is_one_peek_span(self, tmp_path):
+        async def scenario():
+            servers, ports = await _start_cluster(tmp_path, trace=True)
+            try:
+                assert (await _ask(ports[1], {"kind": "put", "key": "k",
+                                              "value": "v"}))["ok"]
+                read = await _ask(ports[2], {"kind": "get", "key": "k"})
+                assert read["value"] == "v"
+                return servers[2].counters.get("reads.peek")
+            finally:
+                await _stop_all(servers)
+
+        assert asyncio.run(scenario()) == 1
+        from repro.obs.dtrace import load_span_logs
+
+        spans = load_span_logs(tmp_path)
+        [get] = [span for span in spans if span["name"] == "replica.get"]
+        children = [span for span in spans if span["parent"] == get["span"]]
+        assert [span["name"] for span in children] == ["quorum.peek"]
+        [peek] = children
+        assert peek["status"] == "ok"
+        events = [event["name"] for event in peek.get("events", [])]
+        assert "state.collect" in events and "quorum.evaluate" in events
