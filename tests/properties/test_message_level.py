@@ -10,7 +10,7 @@ exchange can implement (docs/CORRECTNESS.md names the difference).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamic import DynamicVoting
@@ -22,7 +22,9 @@ from repro.core.topological import TopologicalDynamicVoting
 from repro.engine.actors import MessageCluster
 from repro.engine.cluster import Cluster
 from repro.engine.file import ReplicatedFile
-from repro.errors import QuorumNotReachedError, SiteUnavailableError
+from repro.errors import (
+    ProtocolError, QuorumNotReachedError, SiteUnavailableError,
+)
 from repro.experiments.testbed import testbed_topology
 from repro.replica.state import ReplicaSet
 
@@ -50,6 +52,22 @@ PROTOCOLS = {
     "TDV": TopologicalDynamicVoting,
     "OTDV": OptimisticTopologicalDynamicVoting,
 }
+
+
+def _outcome(operation):
+    """Run one operation; name its outcome so two executions compare.
+
+    Without the lineage guard TDV/OTDV can fork (docs/CORRECTNESS.md
+    §4); the next round that sees both branches raises
+    ``ProtocolError``, and lockstep means both executions raise it
+    with the same message.
+    """
+    try:
+        return ("granted", operation())
+    except (QuorumNotReachedError, SiteUnavailableError):
+        return ("denied", None)
+    except ProtocolError as error:
+        return ("diverged", str(error))
 
 
 def _drive_both(protocol_name, copies, steps):
@@ -90,28 +108,25 @@ def _drive_both(protocol_name, copies, steps):
             up_a = site in message_side.view().up
             if not up_a:
                 continue
-            assert message_side.recover(site) == sync_file.recover_site(site)
+            assert (_outcome(lambda: message_side.recover(site))
+                    == _outcome(lambda: sync_file.recover_site(site)))
             continue
         counter += 1
         value = f"v{counter}"
-        try:
-            if kind == "write":
-                message_side.write(site, value)
-                outcome_a = ("granted", None)
-            else:
-                outcome_a = ("granted", message_side.read(site))
-        except (QuorumNotReachedError, SiteUnavailableError):
-            outcome_a = ("denied", None)
-        try:
-            if kind == "write":
-                sync_file.write(site, value)
-                outcome_b = ("granted", None)
-            else:
-                outcome_b = ("granted", sync_file.read(site))
-        except (QuorumNotReachedError, SiteUnavailableError):
-            outcome_b = ("denied", None)
+        if kind == "write":
+            outcome_a = _outcome(lambda: message_side.write(site, value))
+            outcome_b = _outcome(lambda: sync_file.write(site, value))
+        else:
+            outcome_a = _outcome(lambda: message_side.read(site))
+            outcome_b = _outcome(lambda: sync_file.read(site))
         assert outcome_a == outcome_b, (kind, site)
     return message_side, sync_file
+
+
+# The unguarded fork of docs/CORRECTNESS.md §4 on the testbed: 1 and 2
+# each commit generation 2 alone, and site 1's last write meets both.
+FORK = [("fail", 2), ("fail", 4), ("write", 1), ("fail", 1),
+        ("restart", 2), ("write", 2), ("restart", 1), ("write", 1)]
 
 
 class TestMessageStateEquivalence:
@@ -119,6 +134,7 @@ class TestMessageStateEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(copies=copy_sets,
            steps=st.lists(step_strategy, min_size=1, max_size=30))
+    @example(copies=frozenset({1, 2, 4}), steps=FORK)
     def test_identical_outcomes(self, protocol_name, copies, steps):
         _drive_both(protocol_name, copies, steps)
 
@@ -126,6 +142,7 @@ class TestMessageStateEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(copies=copy_sets,
            steps=st.lists(step_strategy, min_size=1, max_size=30))
+    @example(copies=frozenset({1, 2, 4}), steps=FORK)
     def test_replica_states_converge_identically(self, protocol_name,
                                                  copies, steps):
         """Beyond outcomes: the stored (o, v, P) triples match site by
